@@ -13,10 +13,9 @@ use ruvo_obase::{Args, ObjectBase};
 use ruvo_term::{int, oid, sym, Vid};
 use ruvo_workload::{
     ancestors_program, chain_object_base, chain_program, enterprise_baseline_datalog,
-    enterprise_program, hypothetical_program, query_workload, random_insert_program,
-    random_object_base, salary_raise_program, serving_scenario, Enterprise, EnterpriseConfig,
-    Family, FamilyConfig, QueryConfig, RandomConfig, ServingConfig, ServingScenario,
-    PAPER_ENTERPRISE_OB,
+    enterprise_program, hypothetical_program, query_workload, salary_raise_program,
+    serving_scenario, Enterprise, EnterpriseConfig, Family, FamilyConfig, QueryConfig,
+    ServingConfig, ServingScenario, PAPER_ENTERPRISE_OB,
 };
 
 use crate::table::Table;
@@ -50,8 +49,6 @@ pub fn all() -> Vec<Experiment> {
         ("A6", "ablation — copy-on-write clone and snapshot micro-costs", a6_cow_clone),
         ("E10", "durable storage — append vs fsync, recovery, checkpoint cost", e10_durability),
         ("E11", "demand-driven queries — magic-set point query vs full evaluation", e11_demand),
-        ("E12", "shard-parallel fixpoint — thread sweep and scaling", e12_parallel),
-        ("E13", "rule-parallel fixpoint — dependency components and thread sweep", e13_parallel),
         (
             "E14",
             "incremental checkpoints — dirty-set sweep, chain reopen, commit p99",
@@ -621,8 +618,7 @@ pub fn a6_cow_clone(quick: bool) -> String {
 }
 
 /// Machine-readable medians for the perf trajectory: the E14
-/// incremental-checkpoint axes, the E13 rule-parallel and E12
-/// shard-parallel thread sweeps, the E11 / E10 / E8C axes, the E7
+/// incremental-checkpoint axes, the E11 / E10 / E8C axes, the E7
 /// size and ratio sweeps, and the A6 micro-costs, as one JSON
 /// document (written to `BENCH_pr10.json` by `experiments --json`).
 pub fn bench_json(quick: bool) -> String {
@@ -747,85 +743,6 @@ pub fn bench_json(quick: bool) -> String {
         })
         .collect();
 
-    // The PR-8 axis: shard-parallel fixpoint thread sweep. The
-    // bit-identity assertion runs on every host; the speedup gate only
-    // where it can mean anything (≥4 CPUs, full mode) — and the record
-    // says which happened.
-    let mut e12_delta_rows: Vec<String> = Vec::new();
-    let mut e12_bulk_rows: Vec<String> = Vec::new();
-    let mut e12_sp4 = 0.0f64;
-    for (name, (program, ob)) in e12_workloads(quick) {
-        let (serial, reference) = e12_measure(quick, &program, &ob, 0);
-        let delta_heavy = name.starts_with("delta-heavy");
-        let dest = if delta_heavy { &mut e12_delta_rows } else { &mut e12_bulk_rows };
-        dest.push(format!("     {{\"threads\": 0, \"wall_ms\": {:.3}}}", serial.wall_ms));
-        for threads in e12_threads(quick) {
-            let (row, ob2) = e12_measure(quick, &program, &ob, threads);
-            assert_eq!(ob2, reference, "{name}: parallel ob' diverged at {threads} threads");
-            let speedup = serial.wall_ms / row.wall_ms.max(f64::EPSILON);
-            if threads == 4 && delta_heavy {
-                e12_sp4 = speedup;
-            }
-            dest.push(format!(
-                "     {{\"threads\": {}, \"wall_ms\": {:.3}, \"scan_wall_ms\": {:.3}, \
-                 \"apply_wall_ms\": {:.3}, \"scan_subtasks\": {}, \"seed_splits\": {}, \
-                 \"speedup\": {speedup:.2}}}",
-                row.threads,
-                row.wall_ms,
-                row.scan_wall_ms,
-                row.apply_wall_ms,
-                row.scan_subtasks,
-                row.seed_splits
-            ));
-        }
-    }
-    let e12_gate = match e12_speedup_gate(quick, cpus) {
-        Ok(()) => {
-            assert!(e12_sp4 >= 2.0, "delta-heavy speedup at 4 threads below 2x: {e12_sp4:.2}");
-            "\"pass\"".to_string()
-        }
-        Err(why) => format!("\"skipped: {why}\""),
-    };
-    let e12_stall_serial = e8c_measure_serving_config(quick, 2, 1, None);
-    let e12_stall_parallel = e8c_measure_serving_config(quick, 2, 1, Some(e12_config(2)));
-
-    // The PR-9 axis: rule-parallel fixpoint via dependency components.
-    let (e13_program, e13_ob) = e13_workload(quick);
-    let e13_compiled =
-        ruvo_core::CompiledProgram::compile(e13_program.clone(), CyclePolicy::Reject)
-            .expect("E13 workload compiles");
-    let e13_components = e13_compiled.deps().components().len();
-    let (e13_serial, e13_reference) = e12_measure(quick, &e13_program, &e13_ob, 0);
-    let mut e13_rows: Vec<String> =
-        vec![format!("     {{\"threads\": 0, \"wall_ms\": {:.3}}}", e13_serial.wall_ms)];
-    let mut e13_sp4 = 0.0f64;
-    let mut e13_component_jobs = 0usize;
-    for threads in e12_threads(quick) {
-        let (row, ob2) = e12_measure(quick, &e13_program, &e13_ob, threads);
-        assert_eq!(ob2, e13_reference, "E13: rule-parallel ob' diverged at {threads} threads");
-        let outcome = run_with(e13_program.clone(), &e13_ob, e12_config(threads));
-        let par = outcome.stats().parallel;
-        if threads == 2 {
-            e13_component_jobs = par.component_jobs;
-        }
-        let speedup = e13_serial.wall_ms / row.wall_ms.max(f64::EPSILON);
-        if threads == 4 {
-            e13_sp4 = speedup;
-        }
-        e13_rows.push(format!(
-            "     {{\"threads\": {}, \"wall_ms\": {:.3}, \"scan_wall_ms\": {:.3}, \
-             \"component_jobs\": {}, \"speedup\": {speedup:.2}}}",
-            row.threads, row.wall_ms, row.scan_wall_ms, par.component_jobs
-        ));
-    }
-    let e13_gate = match e12_speedup_gate(quick, cpus) {
-        Ok(()) => {
-            assert!(e13_sp4 >= 2.0, "rule-parallel speedup at 4 threads below 2x: {e13_sp4:.2}");
-            "\"pass\"".to_string()
-        }
-        Err(why) => format!("\"skipped: {why}\""),
-    };
-
     // The PR-10 axis: incremental checkpoints — the dirty-set sweep,
     // chain-vs-compacted reopen, and commit p99 under a background
     // checkpoint. Payload incrementality is asserted on every host;
@@ -904,22 +821,6 @@ pub fn bench_json(quick: bool) -> String {
          \"serve_p99\": {{\n    \"baseline\": {},\n    \"background_16\": {},\n    \
          \"p99_ratio\": {e14_ratio:.2},\n    \"p99_gate\": {e14_p99}\n   }},\n   \
          \"recovered_bit_identical\": true\n  }},\n  \
-         \"e13_rule_parallel\": {{\n   \
-         \"rules\": {},\n   \
-         \"components\": {e13_components},\n   \
-         \"component_jobs_2t\": {e13_component_jobs},\n   \
-         \"rows\": [\n{}\n   ],\n   \
-         \"identical_results\": true,\n   \
-         \"speedup_4t\": {e13_sp4:.2},\n   \
-         \"speedup_gate\": {e13_gate}\n  }},\n  \
-         \"e12_parallel_fixpoint\": {{\n   \
-         \"delta_heavy\": [\n{}\n   ],\n   \
-         \"bulk_load\": [\n{}\n   ],\n   \
-         \"identical_results\": true,\n   \
-         \"speedup_4t_delta_heavy\": {e12_sp4:.2},\n   \
-         \"speedup_gate\": {e12_gate},\n   \
-         \"read_stall_serial_writer\": {},\n   \
-         \"read_stall_parallel_writer\": {}\n  }},\n  \
          \"e11_demand_queries\": [\n{}\n  ],\n  \
          \"e10_durability\": {{\n   \"fsync\": [\n{}\n   ],\n   \
          \"recovery\": [\n{}\n   ],\n   \"checkpoint\": [\n{}\n   ]\n  }},\n  \
@@ -936,12 +837,6 @@ pub fn bench_json(quick: bool) -> String {
         e14_reopen_rows.join(",\n"),
         e14_serve_json(&e14_baseline),
         e14_serve_json(&e14_concurrent),
-        e13_program.len(),
-        e13_rows.join(",\n"),
-        e12_delta_rows.join(",\n"),
-        e12_bulk_rows.join(",\n"),
-        row_json(&e12_stall_serial),
-        row_json(&e12_stall_parallel),
         e11_rows.join(",\n"),
         fsync_rows.join(",\n"),
         recovery_rows.join(",\n"),
@@ -1038,28 +933,11 @@ fn e8c_scenario(quick: bool) -> ServingScenario {
 /// for one window; asserts the post-run balance sum matches the
 /// serialized writer history exactly (no lost or torn update).
 pub fn e8c_measure_serving(quick: bool, readers: usize, writers: usize) -> E8cRow {
-    e8c_measure_serving_config(quick, readers, writers, None)
-}
-
-/// [`e8c_measure_serving`] with the serving database opened under an
-/// explicit engine configuration — E12 uses it to measure read-stall
-/// tails behind a *parallel* group-commit writer.
-pub fn e8c_measure_serving_config(
-    quick: bool,
-    readers: usize,
-    writers: usize,
-    config: Option<EngineConfig>,
-) -> E8cRow {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
     let scenario = e8c_scenario(quick);
-    let db = match config {
-        None => ServingDatabase::open(scenario.ob.clone()),
-        Some(cfg) => {
-            ServingDatabase::new(Database::builder().config(cfg).open(scenario.ob.clone()))
-        }
-    };
+    let db = ServingDatabase::open(scenario.ob.clone());
     let programs: Vec<_> = (0..writers)
         .map(|g| {
             ruvo_core::Prepared::compile(scenario.writer_programs[g].clone(), CyclePolicy::Reject)
@@ -1610,10 +1488,14 @@ pub fn a3_runtime_checks(quick: bool) -> String {
 
 // ----- E10: durable storage ------------------------------------------
 
-/// A scratch data directory for one E10 measurement (recreated per
-/// call so runs never see a predecessor's state).
+/// A fresh data directory for one measurement, unique per call: the
+/// test harness runs experiments concurrently in one process (E14's
+/// serve cell runs both in `e14_quick` and in `bench_json`), and two
+/// cells sharing a directory corrupt each other's WAL and checkpoints.
 fn e10_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ruvo-e10-{tag}-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ruvo-e10-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -1934,314 +1816,6 @@ pub fn e11_demand(quick: bool) -> String {
             "acceptance: ≥10× on the ~100k-fact base, got {:.1}×",
             last.speedup
         );
-    }
-    out
-}
-
-// ----- E12: shard-parallel fixpoint ---------------------------------
-
-/// One E12 cell: a full fixpoint run at one worker setting
-/// (`threads == 0` is the serial baseline with parallel evaluation
-/// off entirely).
-pub struct E12Row {
-    /// Worker cap (0 = serial baseline).
-    pub threads: usize,
-    /// Median end-to-end wall time.
-    pub wall_ms: f64,
-    /// Summed step-1 scan region wall time (parallel runs only).
-    pub scan_wall_ms: f64,
-    /// Summed step-2+3 apply region wall time (parallel runs only).
-    pub apply_wall_ms: f64,
-    /// Scan sub-tasks after seed splitting.
-    pub scan_subtasks: usize,
-    /// Seeded tasks split into per-shard sub-tasks.
-    pub seed_splits: usize,
-}
-
-fn e12_threads(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![1, 2, 4]
-    } else {
-        vec![1, 2, 4, 8]
-    }
-}
-
-fn e12_config(threads: usize) -> EngineConfig {
-    if threads == 0 {
-        EngineConfig::default()
-    } else {
-        EngineConfig { parallel: true, threads, ..EngineConfig::default() }
-    }
-}
-
-/// Delta-heavy workload: transitive closure over one long `next`
-/// chain — hundreds of fixpoint rounds whose seeded scans span nearly
-/// every object, so step 1 dominates and per-shard seed splitting is
-/// what parallelism has to exploit.
-fn e12_delta_heavy(quick: bool) -> (Program, ObjectBase) {
-    let n = if quick { 80 } else { 360 };
-    let mut src = String::new();
-    for i in 0..n - 1 {
-        src.push_str(&format!("o{i}.next -> o{}.\n", i + 1));
-    }
-    let ob = ObjectBase::parse(&src).unwrap();
-    let program = Program::parse(
-        "tc1: ins[X].reach -> R <= X.next -> R.
-         tc2: ins[X].reach -> S <= ins(X).reach -> R & R.next -> S.",
-    )
-    .unwrap();
-    (program, ob)
-}
-
-/// Bulk-load workload: a wide random insert-program over a large flat
-/// base — few rounds with huge deltas, so steps 2+3 (state building
-/// and the sharded batch commit) carry the weight.
-fn e12_bulk_load(quick: bool) -> (Program, ObjectBase) {
-    let config = RandomConfig {
-        objects: if quick { 240 } else { 2_000 },
-        facts: if quick { 900 } else { 9_000 },
-        rules: 8,
-        methods: 5,
-        seed: 7,
-    };
-    (random_insert_program(config), random_object_base(config))
-}
-
-/// Measure one (workload, threads) cell; returns the row and `ob'`
-/// for the cross-configuration identity assertion.
-fn e12_measure(
-    quick: bool,
-    program: &Program,
-    ob: &ObjectBase,
-    threads: usize,
-) -> (E12Row, ObjectBase) {
-    let config = e12_config(threads);
-    let wall = median_time(reps(quick), || {
-        run_with(program.clone(), ob, config.clone());
-    });
-    let outcome = run_with(program.clone(), ob, config.clone());
-    let par = outcome.stats().parallel;
-    let row = E12Row {
-        threads,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        scan_wall_ms: par.scan_wall.as_secs_f64() * 1e3,
-        apply_wall_ms: par.apply_wall.as_secs_f64() * 1e3,
-        scan_subtasks: par.scan_subtasks,
-        seed_splits: par.seed_splits,
-    };
-    (row, outcome.new_object_base())
-}
-
-/// The two E12 workloads, named.
-fn e12_workloads(quick: bool) -> Vec<(&'static str, (Program, ObjectBase))> {
-    vec![
-        ("delta-heavy (chain closure)", e12_delta_heavy(quick)),
-        ("bulk-load (wide inserts)", e12_bulk_load(quick)),
-    ]
-}
-
-/// Whether this host qualifies for the wall-clock speedup gate.
-/// Scaling needs real cores; on smaller hosts the gate is skipped
-/// **and the skip is logged** — the bit-identity assertion still runs
-/// everywhere.
-fn e12_speedup_gate(quick: bool, cpus: usize) -> Result<(), String> {
-    if quick {
-        Err("quick mode".to_string())
-    } else if cpus < 4 {
-        Err(format!("host has {cpus} visible CPU(s), gate needs >= 4"))
-    } else {
-        Ok(())
-    }
-}
-
-/// E12 — shard-parallel fixpoint: thread sweep over a delta-heavy and
-/// a bulk-load workload. On every host, asserts the parallel `ob'` is
-/// **bit-identical** to serial at every width; on hosts with ≥4 CPUs
-/// (full mode), additionally asserts ≥2× speedup at 4 threads on the
-/// delta-heavy workload. Also records serving read-stall tails with a
-/// parallel-configured group-commit writer.
-pub fn e12_parallel(quick: bool) -> String {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut out = format!("host: {cpus} visible CPU(s)\n\n");
-    let mut delta_heavy_sp4 = None;
-    for (name, (program, ob)) in e12_workloads(quick) {
-        let (serial, reference) = e12_measure(quick, &program, &ob, 0);
-        let mut t = Table::new(&[
-            "threads",
-            "wall (ms)",
-            "scan wall (ms)",
-            "apply wall (ms)",
-            "scan sub-tasks",
-            "seed splits",
-            "speedup",
-        ]);
-        t.row(&[
-            "serial".to_string(),
-            format!("{:.3}", serial.wall_ms),
-            "—".to_string(),
-            "—".to_string(),
-            "—".to_string(),
-            "—".to_string(),
-            "1.00×".to_string(),
-        ]);
-        for threads in e12_threads(quick) {
-            let (row, ob2) = e12_measure(quick, &program, &ob, threads);
-            assert_eq!(ob2, reference, "{name}: parallel ob' diverged at {threads} threads");
-            let speedup = serial.wall_ms / row.wall_ms.max(f64::EPSILON);
-            if threads == 4 && name.starts_with("delta-heavy") {
-                delta_heavy_sp4 = Some(speedup);
-            }
-            t.row(&[
-                threads.to_string(),
-                format!("{:.3}", row.wall_ms),
-                format!("{:.3}", row.scan_wall_ms),
-                format!("{:.3}", row.apply_wall_ms),
-                row.scan_subtasks.to_string(),
-                row.seed_splits.to_string(),
-                format!("{speedup:.2}×"),
-            ]);
-        }
-        out.push_str(&format!("### {name}\n\n"));
-        out.push_str(&t.render());
-        out.push_str("\nparallel ob' bit-identical to serial at every width ✓\n\n");
-    }
-    let sp4 = delta_heavy_sp4.expect("sweep includes 4 threads");
-    match e12_speedup_gate(quick, cpus) {
-        Ok(()) => {
-            assert!(sp4 >= 2.0, "delta-heavy speedup at 4 threads below 2x: {sp4:.2}");
-            out.push_str(&format!("speedup gate: {sp4:.2}× at 4 threads (≥2× required) ✓\n"));
-        }
-        Err(why) => out
-            .push_str(&format!("speedup gate: SKIPPED ({why}); measured {sp4:.2}× at 4 threads\n")),
-    }
-    // Read-stall tails behind a parallel group-commit writer: the
-    // writer computing fixpoints on a pool must not hold the published
-    // head longer than the serial writer does.
-    let stall_serial = e8c_measure_serving_config(quick, 2, 1, None);
-    let stall_parallel = e8c_measure_serving_config(quick, 2, 1, Some(e12_config(2)));
-    out.push_str(&format!(
-        "\nserving read stalls (2 readers / 1 writer): serial writer mean {:.1} µs, \
-         max {:.0} µs; parallel writer (2 threads) mean {:.1} µs, max {:.0} µs\n",
-        stall_serial.mean_read_batch_us,
-        stall_serial.max_read_batch_us,
-        stall_parallel.mean_read_batch_us,
-        stall_parallel.max_read_batch_us,
-    ));
-    out
-}
-
-// ----- E13: rule-parallel fixpoint ----------------------------------
-
-/// The E13 workload: eight *independent* triangle-join rules over
-/// disjoint edge namespaces (`e0`..`e7`) — each is its own dependency
-/// component, so their full scans parallelize rule-by-rule — plus one
-/// conflicting `mod` pair on a shared method, which the dependency
-/// analysis must bundle into a single serialized pool job.
-fn e13_workload(quick: bool) -> (Program, ObjectBase) {
-    let namespaces = 8usize;
-    let v = if quick { 30 } else { 360 }; // divisible by 3 for the seeded 3-cycles
-    let muls: &[usize] =
-        if quick { &[2, 3] } else { &[7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47] };
-    let mut src = String::new();
-    for k in 0..namespaces {
-        for i in 0..v {
-            // Guaranteed triangles: partition into 3-cycles.
-            let group = i - i % 3;
-            let cycle_next = group + (i + 1 - group) % 3;
-            src.push_str(&format!("o{i}.e{k} -> o{cycle_next}.\n"));
-            // Join fan: affine pseudo-random extra edges.
-            for m in muls {
-                src.push_str(&format!("o{i}.e{k} -> o{}.\n", (i * m + k) % v));
-            }
-        }
-    }
-    // The mod pair runs over its own object population (`p*`): the
-    // triangle rules create ins(o*) versions and §5 version-linearity
-    // forbids mixing ins(o) and mod(o) on one object.
-    for i in 0..v {
-        src.push_str(&format!("p{i}.shared -> 0.\np{i}.link -> p{}.\n", (i + 1) % v));
-    }
-    let ob = ObjectBase::parse(&src).unwrap();
-
-    let mut rules = String::new();
-    for k in 0..namespaces {
-        rules.push_str(&format!(
-            "t{k}: ins[X].tri{k} -> 1 <= X.e{k} -> Y & Y.e{k} -> Z & Z.e{k} -> X.\n"
-        ));
-    }
-    // Same method, overlapping targets, different replacements: the
-    // commutativity matrix says Conflicts, so these two form one
-    // dependency component and run inside one pool job.
-    rules.push_str("m1: mod[X].shared -> (V, 1) <= X.shared -> V & X.link -> Y.\n");
-    rules.push_str("m2: mod[X].shared -> (V, 2) <= X.shared -> V & Y.link -> X.\n");
-    (Program::parse(&rules).unwrap(), ob)
-}
-
-/// E13 — rule-parallel fixpoint: the dependency-component scheduler
-/// (`core::deps`) runs independent same-stratum rules as separate
-/// pool jobs and serializes non-commuting ones inside a bundle. On
-/// every host, asserts ob' is bit-identical to serial at every width
-/// and that the conflicting pair actually bundles; on hosts with ≥4
-/// CPUs (full mode), additionally asserts ≥2× speedup at 4 threads.
-pub fn e13_parallel(quick: bool) -> String {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let (program, ob) = e13_workload(quick);
-
-    let compiled = ruvo_core::CompiledProgram::compile(program.clone(), CyclePolicy::Reject)
-        .expect("E13 workload compiles");
-    let deps = compiled.deps();
-    let components = deps.components().len();
-    let mut out = format!(
-        "host: {cpus} visible CPU(s)\nworkload: {} rules in {} dependency component(s) \
-         ({} edge(s); the m1/m2 write-write pair is one bundle)\n\n",
-        program.len(),
-        components,
-        deps.edges().len(),
-    );
-    assert_eq!(components, program.len() - 1, "exactly one two-rule bundle expected");
-
-    let (serial, reference) = e12_measure(quick, &program, &ob, 0);
-    let mut t =
-        Table::new(&["threads", "wall (ms)", "scan wall (ms)", "component jobs", "speedup"]);
-    t.row(&[
-        "serial".to_string(),
-        format!("{:.3}", serial.wall_ms),
-        "—".to_string(),
-        "—".to_string(),
-        "1.00×".to_string(),
-    ]);
-    let mut sp4 = None;
-    for threads in e12_threads(quick) {
-        let (row, ob2) = e12_measure(quick, &program, &ob, threads);
-        assert_eq!(ob2, reference, "rule-parallel ob' diverged at {threads} threads");
-        let outcome = run_with(program.clone(), &ob, e12_config(threads));
-        let par = outcome.stats().parallel;
-        assert!(
-            par.component_jobs > 0,
-            "the m1/m2 component must be bundled at {threads} threads: {par:?}"
-        );
-        let speedup = serial.wall_ms / row.wall_ms.max(f64::EPSILON);
-        if threads == 4 {
-            sp4 = Some(speedup);
-        }
-        t.row(&[
-            threads.to_string(),
-            format!("{:.3}", row.wall_ms),
-            format!("{:.3}", row.scan_wall_ms),
-            par.component_jobs.to_string(),
-            format!("{speedup:.2}×"),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str("\nrule-parallel ob' bit-identical to serial at every width ✓\n");
-    let sp4 = sp4.expect("sweep includes 4 threads");
-    match e12_speedup_gate(quick, cpus) {
-        Ok(()) => {
-            assert!(sp4 >= 2.0, "rule-parallel speedup at 4 threads below 2x: {sp4:.2}");
-            out.push_str(&format!("speedup gate: {sp4:.2}× at 4 threads (≥2× required) ✓\n"));
-        }
-        Err(why) => out
-            .push_str(&format!("speedup gate: SKIPPED ({why}); measured {sp4:.2}× at 4 threads\n")),
     }
     out
 }
@@ -2761,16 +2335,6 @@ mod tests {
             "\"serve_p99\"",
             "\"p99_ratio\"",
             "\"recovered_bit_identical\": true",
-            "\"e13_rule_parallel\"",
-            "\"components\"",
-            "\"component_jobs_2t\"",
-            "\"speedup_4t\"",
-            "\"e12_parallel_fixpoint\"",
-            "\"delta_heavy\"",
-            "\"bulk_load\"",
-            "\"identical_results\": true",
-            "\"speedup_gate\"",
-            "\"read_stall_parallel_writer\"",
             "\"e11_demand_queries\"",
             "\"demand_ms\"",
             "\"speedup\"",
@@ -2793,26 +2357,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-    }
-
-    #[test]
-    fn e12_quick() {
-        let report = super::e12_parallel(true);
-        assert!(report.contains("bit-identical to serial at every width ✓"), "got:\n{report}");
-        assert!(report.contains("speedup gate:"), "got:\n{report}");
-        assert!(report.contains("serving read stalls"), "got:\n{report}");
-        // Quick mode never enforces wall-clock scaling.
-        assert!(report.contains("SKIPPED"), "got:\n{report}");
-    }
-
-    #[test]
-    fn e13_quick() {
-        let report = super::e13_parallel(true);
-        assert!(report.contains("dependency component(s)"), "got:\n{report}");
-        assert!(report.contains("bit-identical to serial at every width ✓"), "got:\n{report}");
-        assert!(report.contains("speedup gate:"), "got:\n{report}");
-        // Quick mode never enforces wall-clock scaling.
-        assert!(report.contains("SKIPPED"), "got:\n{report}");
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //!     --trace         print per-stratum traces
 //!     --no-linearity  disable the §5 runtime check
 //!     --naive         disable rule-level delta filtering
-//!     --parallel      evaluate rules on multiple threads
-//!     --threads N     cap parallel evaluation at N workers (0 = auto)
 //!     --dynamic       accept statically non-stratifiable programs
 //!                     under the runtime stability check (§6 extension)
 //! ruvo serve   <base.ob> <program.ruvo>       concurrent serving demo
@@ -51,8 +49,7 @@ fn usage() -> ExitCode {
         "usage:\n  ruvo check   <program.ruvo> [--json] [--deps] [--dot] [--deny]\n  \
          ruvo explain <program.ruvo>\n  \
          ruvo fmt     <program.ruvo>\n  ruvo run     <program.ruvo> <base.ob> \
-         [--result] [--stats] [--trace] [--no-linearity] [--naive] [--parallel] [--threads N] \
-         [--dynamic]\n  \
+         [--result] [--stats] [--trace] [--no-linearity] [--naive] [--dynamic]\n  \
          ruvo serve   <base.ob> <program.ruvo> [--readers N] [--commits K] \
          [--data-dir D] [--ack-file F]\n  \
          ruvo recover <data-dir> [--compact]\n  \
@@ -151,19 +148,10 @@ fn main() -> ExitCode {
                 return usage();
             };
             let mut flags: Vec<&str> = Vec::new();
-            let mut threads: usize = 0;
-            let mut rest = args[3..].iter().map(String::as_str);
-            while let Some(arg) = rest.next() {
+            for arg in args[3..].iter().map(String::as_str) {
                 match arg {
                     "--result" | "--stats" | "--trace" | "--no-linearity" | "--naive"
-                    | "--parallel" | "--dynamic" => flags.push(arg),
-                    "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
-                        Some(n) => threads = n,
-                        None => {
-                            eprintln!("error: --threads needs a number");
-                            return usage();
-                        }
-                    },
+                    | "--dynamic" => flags.push(arg),
                     unknown => {
                         eprintln!("error: unknown flag {unknown}");
                         return usage();
@@ -187,8 +175,6 @@ fn main() -> ExitCode {
             let mut db = Database::builder()
                 .check_linearity(!flags.contains(&"--no-linearity"))
                 .delta_filtering(!flags.contains(&"--naive"))
-                .parallel(flags.contains(&"--parallel"))
-                .threads(threads)
                 .trace(if flags.contains(&"--trace") {
                     TraceLevel::Rounds
                 } else {
@@ -506,7 +492,7 @@ fn check_command(path: &str, src: &str, opts: CheckOpts) -> ExitCode {
 }
 
 /// The `--deps` text report: per-rule read/write sets and the
-/// per-stratum dependency components the scheduler parallelizes over.
+/// per-stratum dependency components.
 fn print_deps_summary(compiled: &ruvo_core::CompiledProgram) {
     let deps = compiled.deps();
     let program = compiled.program();

@@ -118,9 +118,6 @@ fn check_deps_reports_graph_and_components() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("dependency graph: 2 rule(s)"), "got: {stdout}");
     assert!(stdout.contains("stratum 0: 2 component(s): {a} {b}"), "got: {stdout}");
-    // The parallel-opportunity advisory is rendered with --deps.
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("parallel-opportunity"), "got: {stderr}");
 
     // JSON mode embeds the graph and the advisories.
     let out = ruvo(&["check", "--deps", "--json", prog.to_str().unwrap()]);
@@ -128,7 +125,6 @@ fn check_deps_reports_graph_and_components() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"deps\":{"), "got: {stdout}");
     assert!(stdout.contains("\"advisories\":["), "got: {stdout}");
-    assert!(stdout.contains("parallel-opportunity"), "got: {stdout}");
 }
 
 #[test]
@@ -169,28 +165,20 @@ fn run_produces_new_object_base() {
 }
 
 #[test]
-fn run_parallel_with_thread_cap_matches_serial() {
+fn run_rejects_thread_flags() {
+    // Evaluation is serial; there is no thread knob to set.
     let dir = std::env::temp_dir().join("ruvo-cli-run-threads");
     std::fs::create_dir_all(&dir).unwrap();
     let prog = write_file(&dir, "p.ruvo", ENTERPRISE);
     let base = write_file(&dir, "b.ob", BASE);
-    let serial = ruvo(&["run", prog.to_str().unwrap(), base.to_str().unwrap()]);
-    assert!(serial.status.success());
-    for threads in ["1", "2", "4"] {
-        let par = ruvo(&[
-            "run",
-            prog.to_str().unwrap(),
-            base.to_str().unwrap(),
-            "--parallel",
-            "--threads",
-            threads,
-        ]);
-        assert!(par.status.success());
-        assert_eq!(par.stdout, serial.stdout, "--threads {threads} diverged from serial");
+    for flags in [&["--threads", "2"][..], &["--parallel"][..]] {
+        let mut args = vec!["run", prog.to_str().unwrap(), base.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        let out = ruvo(&args);
+        assert_eq!(out.status.code(), Some(2), "{flags:?} must be a usage error");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&format!("unknown flag {}", flags[0])), "got: {stderr}");
     }
-    // The flag needs a numeric value.
-    let bad = ruvo(&["run", prog.to_str().unwrap(), base.to_str().unwrap(), "--threads"]);
-    assert!(!bad.status.success());
 }
 
 #[test]
@@ -372,26 +360,6 @@ ins[x].p -> 1.
 }
 
 #[test]
-fn repl_set_threads_switches_evaluation_strategy() {
-    let script = "\
-:set threads 2
-ins[x].p -> 1.
-:set threads 0
-ins[y].p -> 2.
-:set threads
-:quit
-";
-    let out = ruvo_stdin(&["repl"], script);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("parallel evaluation, 2 workers"), "got: {stdout}");
-    assert!(stdout.contains("serial evaluation"), "got: {stdout}");
-    assert!(stdout.contains("! :set threads <n>"), "got: {stdout}");
-    assert!(stdout.contains("ok: txn #0"), "got: {stdout}");
-    assert!(stdout.contains("ok: txn #1"), "got: {stdout}");
-}
-
-#[test]
 fn repl_check_command() {
     let dir = std::env::temp_dir().join("ruvo-cli-repl-check");
     std::fs::create_dir_all(&dir).unwrap();
@@ -425,7 +393,6 @@ fn repl_deps_command() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("2 rule(s), 0 dependency edge(s)"), "got: {stdout}");
     assert!(stdout.contains("stratum 0: 2 component(s): {a} {b}"), "got: {stdout}");
-    assert!(stdout.contains("parallel-opportunity"), "got: {stdout}");
     assert!(stdout.contains("! cannot read /no/such/file"), "got: {stdout}");
 }
 

@@ -10,8 +10,6 @@
 //!   one reads ([`Lint::WriteWriteConflict`]);
 //! * the **commutativity matrix** — a per-stratum rule×rule verdict
 //!   ([`Commutativity`]) exported as `CompiledProgram::commutativity()`;
-//!   an all-`Commutes` stratum is the precondition for evaluating its
-//!   rules concurrently (the ROADMAP's parallel-fixpoint item);
 //! * **dead rules** — a refinement of the stratifier's condition-(b)
 //!   edge relation (see [`crate::stratify::edges`]): a rule whose body
 //!   demands a created version no rule's head can produce, or asks
@@ -107,8 +105,8 @@ impl CommutativityMatrix {
         self.verdicts[i * self.n + j]
     }
 
-    /// True when every same-stratum pair commutes — the precondition
-    /// for evaluating each stratum's rules in parallel.
+    /// True when every same-stratum pair commutes: each stratum's rules
+    /// may then be evaluated in any order.
     pub fn all_commute(&self) -> bool {
         self.verdicts.iter().all(|v| *v == Commutativity::Commutes)
     }
@@ -466,7 +464,7 @@ fn cycle_advisories(compiled: &CompiledProgram, out: &mut Vec<Diagnostic>) {
 /// sequentially (instead of the paper's simultaneous `T_P`) could
 /// observe the write. Uses the *precise* read sets of the
 /// [`RuleDepGraph`] — negated keys stay concrete here, unlike the
-/// scheduling view which widens negation to ⊤ — and exempts purely
+/// graph view, which widens negation to ⊤ — and exempts purely
 /// additive pairs (a positive read where both heads insert), which is
 /// the §4(b)-sanctioned ins-recursion pattern.
 fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnostic>) {
@@ -532,15 +530,10 @@ fn order_sensitivity(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagn
 }
 
 /// Advisory observations from the dependency graph: self-dependent
-/// rules and strata that split into parallel components. These are
-/// truthful statements about perfectly healthy programs, so they go
-/// into [`CheckReport::advisories`], never into warnings.
-fn deps_advisories(
-    program: &Program,
-    strat: &Stratification,
-    deps: &RuleDepGraph,
-    out: &mut Vec<Diagnostic>,
-) {
+/// rules. These are truthful statements about perfectly healthy
+/// programs, so they go into [`CheckReport::advisories`], never into
+/// warnings.
+fn deps_advisories(program: &Program, deps: &RuleDepGraph, out: &mut Vec<Diagnostic>) {
     for r in 0..program.rules.len() {
         if !deps.self_dependent(r) {
             continue;
@@ -576,35 +569,6 @@ fn deps_advisories(
             ),
         );
     }
-    for (si, rules) in strat.strata.iter().enumerate() {
-        if rules.len() < 2 {
-            continue;
-        }
-        let comps = deps.stratum_components(si);
-        if comps.len() < 2 {
-            continue;
-        }
-        let listing: Vec<String> = comps
-            .iter()
-            .map(|c| {
-                let names: Vec<String> = c.iter().map(|&r| program.rule_name(r)).collect();
-                format!("{{{}}}", names.join(", "))
-            })
-            .collect();
-        out.push(
-            Diagnostic::new(
-                Lint::ParallelOpportunity,
-                None,
-                format!(
-                    "stratum {si} ({} rules) splits into {} independent components; \
-                     their step-1 scans are scheduled in parallel",
-                    rules.len(),
-                    comps.len(),
-                ),
-            )
-            .note(format!("components: {}", listing.join(" / "))),
-        );
-    }
 }
 
 /// Everything `ruvo check` reports for one compiled program.
@@ -614,9 +578,8 @@ pub struct CheckReport {
     /// duplicates) plus the stratification-aware analyses above.
     pub diagnostics: Vec<Diagnostic>,
     /// Advisory notes (allow-level lints): dependency observations
-    /// about healthy programs — self-dependent rules, parallelizable
-    /// strata. Never escalated by `deny_lints`, never in
-    /// `Prepared::warnings()`.
+    /// about healthy programs, such as self-dependent rules. Never
+    /// escalated by `deny_lints`, never in `Prepared::warnings()`.
     pub advisories: Vec<Diagnostic>,
     /// The rule×rule commutativity verdicts.
     pub commutativity: CommutativityMatrix,
@@ -640,7 +603,7 @@ pub fn check(compiled: &CompiledProgram) -> CheckReport {
     cycle_advisories(compiled, &mut diagnostics);
     order_sensitivity(program, deps, &mut diagnostics);
     let mut advisories = Vec::new();
-    deps_advisories(program, compiled.stratification(), deps, &mut advisories);
+    deps_advisories(program, deps, &mut advisories);
     CheckReport { diagnostics, advisories, commutativity: matrix }
 }
 
@@ -736,20 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn enterprise_advisories_note_parallel_components() {
-        // rule1/rule2 share the first stratum; rule2's negation widens
-        // it to ⊤ for scheduling, so they form one component and no
-        // parallel-opportunity note fires — but no warning does either.
-        let report = check(&compiled(ENTERPRISE));
-        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-        assert!(
-            !report.advisories.iter().any(|d| d.lint == Lint::ParallelOpportunity),
-            "{:?}",
-            report.advisories
-        );
-    }
-
-    #[test]
     fn order_sensitive_rules_fire_on_negated_same_stratum_reads() {
         // The cycle forces one (relaxed) stratum; `a` negatively reads
         // `ins(·).q`, which `b` writes.
@@ -799,21 +748,6 @@ mod tests {
             .find(|d| d.lint == Lint::SelfDependentRule)
             .unwrap_or_else(|| panic!("no self-dependent advisory: {:?}", report.advisories));
         assert!(d.message.contains("$V"), "{}", d.message);
-    }
-
-    #[test]
-    fn independent_rules_note_a_parallel_opportunity() {
-        let report = check_source(
-            "a: ins[X].p -> 1 <= X.s -> 1.\nb: ins[X].q -> 2 <= X.t -> 2.",
-            CyclePolicy::Reject,
-        );
-        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-        let d =
-            report.advisories.iter().find(|d| d.lint == Lint::ParallelOpportunity).unwrap_or_else(
-                || panic!("no parallel-opportunity advisory: {:?}", report.advisories),
-            );
-        assert!(d.message.contains("2 independent components"), "{}", d.message);
-        assert!(d.notes.iter().any(|n| n.contains("{a} / {b}")), "{:?}", d.notes);
     }
 
     #[test]

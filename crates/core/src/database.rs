@@ -366,7 +366,7 @@ impl Prepared {
     }
 
     /// Allow-level advisory notes from the dependency analysis
-    /// (self-dependent rules, parallelizable strata). Informational
+    /// (self-dependent rules). Informational
     /// only: never escalated by [`DatabaseBuilder::deny_lints`] and
     /// never part of [`Prepared::warnings`].
     pub fn advisories(&self) -> &[Diagnostic] {
@@ -375,7 +375,7 @@ impl Prepared {
 
     /// The rule dependency graph computed once at prepare time: per-
     /// rule read/write sets and the intra-stratum component partition
-    /// the parallel scheduler uses (see [`crate::deps`]).
+    /// (see [`crate::deps`]).
     pub fn deps(&self) -> &crate::deps::RuleDepGraph {
         self.compiled.deps()
     }
@@ -482,21 +482,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Evaluate the rules of a round on multiple threads.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.config.parallel = on;
-        self
-    }
-
-    /// Cap parallel evaluation at `n` worker threads (`0` = auto; see
-    /// [`EngineConfig::threads`]). Only takes effect together with
-    /// [`DatabaseBuilder::parallel`]; results are bit-identical for
-    /// every value.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n;
-        self
-    }
-
     /// Safety valve for the per-stratum fixpoint loop.
     pub fn max_rounds_per_stratum(mut self, limit: usize) -> Self {
         self.config.max_rounds_per_stratum = limit;
@@ -573,10 +558,7 @@ impl DatabaseBuilder {
         };
         // Decode the checkpoint chain's base generation in parallel:
         // reopen time is then driven by the WAL tail, not base size.
-        let workers = match self.config.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         let opened = WalStore::open_with_workers(dir, self.fsync, self.checkpoint, workers)?;
         let fresh = opened.is_fresh();
         let base = match opened.checkpoint {
@@ -679,21 +661,6 @@ impl Database {
     /// The engine configuration transactions run under.
     pub fn config(&self) -> &EngineConfig {
         self.session.config()
-    }
-
-    /// Switch parallel evaluation on/off for subsequent transactions
-    /// (the [`DatabaseBuilder::parallel`] knob, adjustable at
-    /// runtime — e.g. by the REPL's `:set` command). Results are
-    /// unaffected; only the execution strategy changes.
-    pub fn set_parallel(&mut self, on: bool) {
-        self.session.config_mut().parallel = on;
-    }
-
-    /// Cap parallel evaluation at `n` worker threads (`0` = auto) for
-    /// subsequent transactions; the runtime twin of
-    /// [`DatabaseBuilder::threads`].
-    pub fn set_threads(&mut self, n: usize) {
-        self.session.config_mut().threads = n;
     }
 
     // ----- preparing and applying programs ---------------------------

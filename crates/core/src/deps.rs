@@ -4,9 +4,8 @@
 //! The paper's `T_P` operator (§4) fires every rule of a stratum
 //! against the same pre-state, so two rules whose static read sets are
 //! disjoint from each other's write sets are provably independent —
-//! their step-1 matching can run concurrently and their relative order
-//! can never change the fired-update set. This module computes that
-//! independence once at compile time:
+//! their relative order can never change the fired-update set. This
+//! module computes that independence once at compile time:
 //!
 //! * a conservative **read set** per rule — [`crate::plan::literal_reads`]
 //!   over *all* body literals (positive and negated, tracked
@@ -19,21 +18,15 @@
 //!   [`crate::check`]'s commutativity analysis uses);
 //! * a [`RuleDepGraph`] over same-stratum rule pairs with typed edges
 //!   ([`DepEdgeKind`]) and its connected-component partition. For the
-//!   *graph* (which drives scheduling), negation is widened to ⊤ like
-//!   `$V` — a negated read is sensitive to anything that could make
-//!   its relation grow. The lint layer in [`crate::check`] keeps the
-//!   precise negated keys instead, so diagnostics don't cry wolf on
-//!   negations whose relations no same-stratum rule writes.
+//!   *graph*, negation is widened to ⊤ like `$V` — a negated read is
+//!   sensitive to anything that could make its relation grow. The lint
+//!   layer in [`crate::check`] keeps the precise negated keys instead,
+//!   so diagnostics don't cry wolf on negations whose relations no
+//!   same-stratum rule writes.
 //!
-//! The graph is consumed twice: the engine schedules step-1 matching
-//! as one pool job per component ([`crate::engine`], composing with
-//! seeded-scan splitting), and `ruvo check --deps` / REPL `:deps`
-//! render it for humans (DOT and JSON, see [`RuleDepGraph::to_dot`]).
-//! Grouping only affects *which worker* scans a rule — every unit
-//! reads the immutable pre-state — so the component partition is a
-//! performance hint, never a correctness input; bit-identity across
-//! thread widths is enforced by the slot-ordered merge in the engine
-//! and checked by `tests/parallel_differential.rs`.
+//! The graph feeds the advisory lints of [`crate::check`], and
+//! `ruvo check --deps` / REPL `:deps` render it for humans (DOT and
+//! JSON, see [`RuleDepGraph::to_dot`]).
 
 use ruvo_lang::{Program, Rule};
 use ruvo_term::{Chain, Symbol};
@@ -52,9 +45,9 @@ pub enum TopCause {
 #[derive(Clone, Debug, Default)]
 pub struct ReadSet {
     /// `(chain, method)` relations read by *positive* literals,
-    /// sorted and deduplicated.
+    /// sorted by chain, then method name, and deduplicated.
     pub keys: Vec<(Chain, Symbol)>,
-    /// Relations read by *negated* literals, sorted and deduplicated.
+    /// Relations read by *negated* literals, ordered like `keys`.
     /// Kept separate: a negated read is non-monotone, so overlap with
     /// a same-stratum write is order-sensitive even for ins-heads.
     pub negated: Vec<(Chain, Symbol)>,
@@ -74,10 +67,13 @@ impl ReadSet {
                 None => top = Some(TopCause::VidVariable),
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
-        negated.sort_unstable();
-        negated.dedup();
+        // Name order, not `Symbol` order: symbol ids follow interning
+        // order, which differs between processes, and every render of
+        // the graph lists keys in this order.
+        for set in [&mut keys, &mut negated] {
+            set.sort_unstable_by_key(|&(c, m)| (c, m.as_str()));
+            set.dedup();
+        }
         ReadSet { keys, negated, top }
     }
 
@@ -86,9 +82,9 @@ impl ReadSet {
         self.top.is_some()
     }
 
-    /// ⊤ for *scheduling*: `$V` atoms, plus negation widened to ⊤
-    /// (the conservative reading the dependency graph uses).
-    pub fn is_top_for_scheduling(&self) -> bool {
+    /// ⊤ as the dependency graph reads it: `$V` atoms, plus negation
+    /// widened to ⊤ (the graph's conservative reading).
+    pub fn is_top_for_graph(&self) -> bool {
         self.is_top() || !self.negated.is_empty()
     }
 
@@ -122,7 +118,7 @@ pub enum DepEdgeKind {
     /// The [`CommutativityMatrix`] could not prove the pair's writes
     /// commute (`Conflicts` or `Unknown`).
     WriteWrite,
-    /// One side reads ⊤ under the scheduling widening (`$V` atom or a
+    /// One side reads ⊤ under the graph's widening (`$V` atom or a
     /// negated literal), so it conservatively overlaps any writer.
     TopConflict,
 }
@@ -152,8 +148,8 @@ pub struct DepEdge {
 }
 
 /// The per-program rule dependency graph: read/write sets, typed
-/// same-stratum edges, and the connected-component partition that
-/// bounds intra-stratum rule parallelism.
+/// same-stratum edges, and the connected-component partition of each
+/// stratum into rule groups that never read each other's writes.
 #[derive(Clone, Debug)]
 pub struct RuleDepGraph {
     reads: Vec<ReadSet>,
@@ -184,7 +180,7 @@ impl RuleDepGraph {
             })
             .collect();
 
-        // The scheduling view of "rule a's reads overlap rule b's
+        // The graph's view of "rule a's reads overlap rule b's
         // writes": a chain-less write (overflow) overlaps everything.
         let rw = |a: usize, b: usize| match writes[b].chain {
             Some(c) => reads[a].reads_chain(c),
@@ -200,7 +196,7 @@ impl RuleDepGraph {
                     Some(DepEdgeKind::WriteWrite)
                 } else if rw(a, b) || rw(b, a) {
                     Some(DepEdgeKind::ReadWrite)
-                } else if reads[a].is_top_for_scheduling() || reads[b].is_top_for_scheduling() {
+                } else if reads[a].is_top_for_graph() || reads[b].is_top_for_graph() {
                     Some(DepEdgeKind::TopConflict)
                 } else {
                     None
@@ -491,7 +487,7 @@ mod tests {
     fn vid_variable_reads_top() {
         let (_, g) = graph("audit: ins[o1].seen -> O <= $V.exists -> O.");
         assert!(g.reads(0).is_top());
-        assert!(g.reads(0).is_top_for_scheduling());
+        assert!(g.reads(0).is_top_for_graph());
         assert!(g.self_dependent(0), "⊤ reads overlap the own write chain");
     }
 

@@ -38,7 +38,7 @@ use crate::error::EvalError;
 use crate::plan::IndexPlan;
 use crate::stratify::{stratify, stratify_relaxed, Stratification, StratifyError};
 use crate::tp::{self, Fired, FiredSet};
-use crate::trace::{EvalStats, ParallelStats, RoundTrace, StratumTrace};
+use crate::trace::{EvalStats, RoundTrace, StratumTrace};
 
 /// How much trace detail [`UpdateEngine::run`] records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -103,15 +103,6 @@ pub struct EngineConfig {
     pub max_rounds_per_stratum: usize,
     /// Trace detail.
     pub trace: TraceLevel,
-    /// Evaluate the rules of a round on multiple threads.
-    pub parallel: bool,
-    /// Worker cap for parallel evaluation: the number of threads the
-    /// run's worker pool (`core::pool`) is created with. `0` (the
-    /// default) means "auto" — use the host's available parallelism.
-    /// Ignored unless [`EngineConfig::parallel`] is on. The computed
-    /// results are bit-identical for every value (see ARCHITECTURE.md
-    /// §"Parallel evaluation"); only wall-clock telemetry varies.
-    pub threads: usize,
     /// Handling of statically non-stratifiable programs (§6 extension).
     pub cycles: CyclePolicy,
     /// Run the stability check on *every* stratum, not just flagged
@@ -137,8 +128,6 @@ impl Default for EngineConfig {
             semi_naive: true,
             max_rounds_per_stratum: 1_000_000,
             trace: TraceLevel::Strata,
-            parallel: false,
-            threads: 0,
             cycles: CyclePolicy::Reject,
             verify_stability: false,
             demand: true,
@@ -162,27 +151,6 @@ impl EngineConfig {
     pub fn demand(mut self, on: bool) -> Self {
         self.demand = on;
         self
-    }
-
-    /// Cap parallel evaluation at `n` worker threads (`0` = auto,
-    /// see [`EngineConfig::threads`]).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-}
-
-/// The worker count a run's pool is created with: 1 when parallel
-/// evaluation is off, else the configured cap or (for `threads: 0`)
-/// the host's available parallelism.
-fn effective_workers(config: &EngineConfig) -> usize {
-    if !config.parallel {
-        return 1;
-    }
-    if config.threads > 0 {
-        config.threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 }
 
@@ -299,16 +267,15 @@ impl CompiledProgram {
 
     /// The rule×rule commutativity matrix under this compilation's
     /// stratification — see [`crate::check`] for the semantics. An
-    /// all-commuting stratum may evaluate its rules in any order (the
-    /// precondition for parallel fixpoint evaluation). Computed once
-    /// at compile time as part of the dependency graph.
+    /// all-commuting stratum may evaluate its rules in any order.
+    /// Computed once at compile time as part of the dependency graph.
     pub fn commutativity(&self) -> crate::check::CommutativityMatrix {
         self.analysis.deps.commutativity().clone()
     }
 
     /// The rule dependency graph: per-rule read/write sets, typed
-    /// same-stratum edges, and the connected-component partition the
-    /// parallel scheduler groups step-1 scans by — see [`crate::deps`].
+    /// same-stratum edges, and the connected-component partition of
+    /// each stratum — see [`crate::deps`].
     pub fn deps(&self) -> &crate::deps::RuleDepGraph {
         &self.analysis.deps
     }
@@ -536,18 +503,10 @@ fn run_loop(
     mut work: ObjectBase,
 ) -> Result<OutcomeParts, EvalError> {
     let started = Instant::now();
-    let Analysis { stratification, risky, triggers, index_plan, deps } = analysis;
+    let Analysis { stratification, risky, triggers, index_plan, .. } = analysis;
 
     let mut tracker = config.check_linearity.then(LinearityTracker::new);
     let mut stats = EvalStats::default();
-    // One pool for the whole run; every round's parallel regions (the
-    // step-1 scans and the step-2+3 apply) borrow it. With parallel
-    // evaluation off this is a width-1 pool and nothing ever spawns.
-    let pool = crate::pool::WorkerPool::new(effective_workers(config));
-    if config.parallel {
-        stats.parallel.workers = pool.workers();
-    }
-    let ctx = RoundCtx { program, plans: index_plan, config, deps, pool: &pool };
     let mut stratum_traces = Vec::new();
     let mut round_traces = Vec::new();
     let mut total_changed = ChangedSince::new();
@@ -588,7 +547,7 @@ fn run_loop(
             stats.rule_evaluations_skipped += stratum.len() - to_eval.len();
             stats.rule_evaluations_seeded += tasks.iter().filter(|t| t.seed.is_some()).count();
 
-            let new_fired = collect_round(&ctx, &work, &tasks, &mut stats.parallel);
+            let new_fired = collect_round(program, index_plan, config, &work, &tasks);
             if checked && round > 1 {
                 // Stability: T¹ w.r.t. the current interpretation
                 // must still contain every previously fired update.
@@ -621,8 +580,7 @@ fn run_loop(
             // version the delta touches (idempotent for ins/del,
             // required for mod chains; see module docs). The affected
             // versions are kept in delta first-appearance order so the
-            // apply order is canonical — identical for the serial and
-            // every parallel configuration.
+            // apply order is canonical.
             let mut affected: Vec<Vid> = Vec::new();
             let mut affected_set: FastHashSet<Vid> = FastHashSet::default();
             for f in delta {
@@ -634,11 +592,7 @@ fn run_loop(
             }
             let apply_list: Vec<Fired> =
                 affected.iter().flat_map(|v| by_version[v].iter().cloned()).collect();
-            let report = if pool.workers() >= 2 {
-                tp::apply_updates_pooled(&mut work, &apply_list, &pool, &mut stats.parallel)
-            } else {
-                tp::apply_updates(&mut work, &apply_list)
-            };
+            let report = tp::apply_updates(&mut work, &apply_list);
             if let Some(rt) = round_traces.last_mut() {
                 rt.touched = report.touched.len();
             }
@@ -675,207 +629,31 @@ fn run_loop(
     })
 }
 
-/// Minimum seed size at which a seeded task is split into per-shard
-/// sub-tasks. Splitting is conditioned only on
-/// [`EngineConfig::parallel`] and this constant — never on the worker
-/// count — so every parallel width sees the same sub-task list and
-/// produces the same merged delta sequence.
-const SEED_SPLIT_MIN: usize = 32;
-
-/// Minimum object count at which a *full* (unseeded) scan — a round-1
-/// task, or a later round's unseedable fallback — is split by shard
-/// route as well. Like [`SEED_SPLIT_MIN`], a pure function of the
-/// state and the config, never of the worker count.
-const FULL_SPLIT_MIN: usize = 32;
-
-/// The first `Scan` step of a rule's compiled plan — the step a full
-/// evaluation can be split at. Seeding that step with a partition of
-/// the *entire* object set is an exact cover of the full scan: every
-/// match binds some version there, and its base routes the match to
-/// exactly one partition. `None` for fully-ground rules (no scan
-/// step), which are too cheap to split anyway.
-fn first_scan_step(rule: &Rule) -> Option<usize> {
-    rule.plan.steps.iter().position(|s| matches!(s, ruvo_lang::PlannedLiteral::Scan(_)))
-}
-
-/// A unit of step-1 scan work after seed splitting: a round task as
-/// issued by [`round_tasks`], or one shard's slice of a split seed.
-enum ScanJob<'a> {
-    Whole(&'a EvalTask),
-    Split { rule: usize, step: usize, seed: FastHashSet<Const> },
-}
-
-/// The run-constant inputs of [`collect_round`]: everything a round's
-/// scan phase reads that does not change between rounds or strata.
-#[derive(Clone, Copy)]
-struct RoundCtx<'a> {
-    program: &'a Program,
-    plans: &'a IndexPlan,
-    config: &'a EngineConfig,
-    deps: &'a crate::deps::RuleDepGraph,
-    pool: &'a crate::pool::WorkerPool,
-}
-
-/// Step 1 of `T_P` over a round's evaluation tasks. Under
-/// [`EngineConfig::semi_naive`] scans follow the compiled index plan
-/// (and seeds, for seeded tasks); otherwise every task is a naive
+/// Step 1 of `T_P` over a round's evaluation tasks, in task order.
+/// Under [`EngineConfig::semi_naive`] scans follow the compiled index
+/// plan (and seeds, for seeded tasks); otherwise every task is a naive
 /// full-scan rule evaluation.
-///
-/// With [`EngineConfig::parallel`] on, the round's tasks are first
-/// expanded into scan *units* in task order — large seeded tasks are
-/// split by shard route ([`ruvo_obase::base_shard`]) into per-shard
-/// sub-units (intra-rule parallelism), everything else stays one
-/// unit. Units are then scheduled onto the pool one job per
-/// *dependency component* ([`crate::deps::RuleDepGraph`]): whole-rule
-/// units of dependent rules bundle into a single sequential job
-/// (their scans chase the same relations), while independent
-/// components — and every split sub-unit — spread across workers.
-///
-/// Both the unit list and the job grouping depend only on the tasks
-/// and the compiled program, never on the worker count, and each
-/// unit's output is merged back in *unit* order (slot-keyed), so the
-/// fired sequence is identical to the serial path at every thread
-/// width (see [`crate::pool`] for the determinism contract).
 fn collect_round(
-    ctx: &RoundCtx<'_>,
+    program: &Program,
+    plans: &IndexPlan,
+    config: &EngineConfig,
     ob: &ObjectBase,
     tasks: &[EvalTask],
-    par: &mut ParallelStats,
 ) -> Vec<Fired> {
-    let RoundCtx { program, plans, config, deps, pool } = *ctx;
-    let run = |rule: usize, seed: Option<(usize, &FastHashSet<Const>)>, out: &mut Vec<Fired>| {
-        let r = &program.rules[rule];
-        if !config.semi_naive {
-            tp::collect_rule(ob, r, out);
-            return;
-        }
-        let plan = &plans.rules[rule];
-        match seed {
-            Some((step, seed)) => tp::collect_rule_seeded(ob, r, plan, step, seed, out),
-            None => tp::collect_rule_planned(ob, r, plan, out),
-        }
-    };
-    if !config.parallel {
-        let mut out = Vec::new();
-        for task in tasks {
-            run(task.rule, task.seed.as_ref().map(|(s, set)| (*s, set)), &mut out);
-        }
-        return out;
-    }
-    let shard_buckets = |objs: &mut dyn Iterator<Item = Const>| -> Vec<FastHashSet<Const>> {
-        let mut buckets: Vec<FastHashSet<Const>> =
-            std::iter::repeat_with(FastHashSet::default).take(ruvo_obase::SHARD_COUNT).collect();
-        for c in objs {
-            buckets[ruvo_obase::base_shard(c)].insert(c);
-        }
-        buckets
-    };
-    // The whole-object-set partition for full-scan splitting, shared
-    // across this round's full tasks; built (and the object set
-    // counted) at most once per round, and only on rounds that
-    // actually carry a full task.
-    let mut full_buckets: Option<Vec<FastHashSet<Const>>> = None;
-    let mut object_count: Option<usize> = None;
-    let mut units: Vec<ScanJob> = Vec::new();
+    let mut out = Vec::new();
     for task in tasks {
+        let rule = &program.rules[task.rule];
+        if !config.semi_naive {
+            tp::collect_rule(ob, rule, &mut out);
+            continue;
+        }
+        let plan = &plans.rules[task.rule];
         match &task.seed {
-            Some((step, seed)) if seed.len() >= SEED_SPLIT_MIN => {
-                par.seed_splits += 1;
-                let buckets = shard_buckets(&mut seed.iter().copied());
-                units.extend(
-                    buckets.into_iter().filter(|b| !b.is_empty()).map(|seed| ScanJob::Split {
-                        rule: task.rule,
-                        step: *step,
-                        seed,
-                    }),
-                );
-            }
-            None if config.semi_naive
-                && deps.components()[deps.component_of(task.rule)].len() == 1
-                && *object_count.get_or_insert_with(|| ob.objects().count()) >= FULL_SPLIT_MIN =>
-            {
-                // Round-1 full scans (and unseedable fallbacks) split
-                // too: seed the rule's first scan step with the whole
-                // object set, partitioned by shard route — an exact
-                // cover of the full scan (see [`first_scan_step`]).
-                // Only rules alone in their dependency component
-                // split; dependent rules keep the component bundling
-                // (their scans chase the same relations, so shard
-                // fan-out would just shred that locality).
-                let Some(step) = first_scan_step(&program.rules[task.rule]) else {
-                    units.push(ScanJob::Whole(task));
-                    continue;
-                };
-                par.full_splits += 1;
-                let buckets =
-                    full_buckets.get_or_insert_with(|| shard_buckets(&mut ob.objects())).clone();
-                units.extend(
-                    buckets.into_iter().filter(|b| !b.is_empty()).map(|seed| ScanJob::Split {
-                        rule: task.rule,
-                        step,
-                        seed,
-                    }),
-                );
-            }
-            _ => units.push(ScanJob::Whole(task)),
+            Some((step, seed)) => tp::collect_rule_seeded(ob, rule, plan, *step, seed, &mut out),
+            None => tp::collect_rule_planned(ob, rule, plan, &mut out),
         }
     }
-    par.scan_subtasks += units.len();
-    // One pool job per dependency component (created at its first
-    // unit, so job order follows unit order); splits stay singletons.
-    let mut jobs: Vec<Vec<usize>> = Vec::new();
-    let mut job_of_component: FastHashMap<usize, usize> = FastHashMap::default();
-    for (u, unit) in units.iter().enumerate() {
-        match unit {
-            ScanJob::Split { .. } => jobs.push(vec![u]),
-            ScanJob::Whole(task) => {
-                let c = deps.component_of(task.rule);
-                match job_of_component.entry(c) {
-                    std::collections::hash_map::Entry::Occupied(e) => jobs[*e.get()].push(u),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(jobs.len());
-                        jobs.push(vec![u]);
-                    }
-                }
-            }
-        }
-    }
-    for job in &jobs {
-        if job.len() > 1 {
-            par.component_jobs += 1;
-            par.component_units += job.len();
-            par.component_units_max = par.component_units_max.max(job.len());
-        }
-    }
-    let (outs, timing) = pool.run(jobs.len(), |i| {
-        jobs[i]
-            .iter()
-            .map(|&u| {
-                let mut out = Vec::new();
-                match &units[u] {
-                    ScanJob::Whole(task) => {
-                        run(task.rule, task.seed.as_ref().map(|(s, set)| (*s, set)), &mut out)
-                    }
-                    ScanJob::Split { rule, step, seed } => {
-                        run(*rule, Some((*step, seed)), &mut out)
-                    }
-                }
-                (u, out)
-            })
-            .collect::<Vec<_>>()
-    });
-    par.scan_wall += timing.wall;
-    par.scan_busy_max += timing.busy_max;
-    par.scan_busy_total += timing.busy_total;
-    // Slot-keyed merge: each unit's output lands back at its unit
-    // index, so flattening reproduces the serial task order exactly.
-    let mut slots: Vec<Vec<Fired>> = (0..units.len()).map(|_| Vec::new()).collect();
-    for job in outs {
-        for (u, out) in job {
-            slots[u] = out;
-        }
-    }
-    slots.into_iter().flatten().collect()
+    out
 }
 
 /// The `(chain, method)` relations a rule's positive body literals can
@@ -1346,25 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let ob_src = "phil.isa -> empl / pos -> mgr / sal -> 4000.
-                      bob.isa -> empl / boss -> phil / sal -> 4200.";
-        let prog = "
-            rule1: mod[E].sal -> (S, S2) <= E.isa -> empl / pos -> mgr / sal -> S & S2 = S * 1.1 + 200.
-            rule2: mod[E].sal -> (S, S2) <= E.isa -> empl / sal -> S & not E.pos -> mgr & S2 = S * 1.1.
-        ";
-        let ob = ObjectBase::parse(ob_src).unwrap();
-        let seq = UpdateEngine::new(Program::parse(prog).unwrap()).run(&ob).unwrap();
-        let par = UpdateEngine::with_config(
-            Program::parse(prog).unwrap(),
-            EngineConfig { parallel: true, ..Default::default() },
-        )
-        .run(&ob)
-        .unwrap();
-        assert_eq!(seq.result(), par.result());
-    }
-
-    #[test]
     fn round_limit_triggers() {
         let ob = ObjectBase::parse("a.p -> 1. b.x -> 9. c.x -> 9.").unwrap();
         // Needs 3+ rounds: chain of derivations.
@@ -1583,42 +1342,5 @@ mod tests {
         let plain = Program::parse("ins[a].p -> 1.").unwrap();
         let relaxed = crate::stratify::stratify_relaxed(&plain);
         assert_eq!(relaxed.needs_runtime_check, vec![false]);
-    }
-
-    /// A base above [`FULL_SPLIT_MIN`] objects and a singleton-component
-    /// rule: the round-1 full scan must split by shard route, and the
-    /// split run must match serial exactly.
-    #[test]
-    fn full_scans_split_above_the_object_gate() {
-        let mut src = String::new();
-        for i in 0..40 {
-            src.push_str(&format!("o{i}.val -> {i}.\n"));
-        }
-        let ob = ObjectBase::parse(&src).unwrap();
-        let program = Program::parse("ins[X].tag -> 1 <= X.val -> V & V > 5.").unwrap();
-        let serial = UpdateEngine::new(program.clone()).run(&ob).unwrap();
-        let parallel = UpdateEngine::with_config(
-            program.clone(),
-            EngineConfig { parallel: true, threads: 2, ..Default::default() },
-        )
-        .run(&ob)
-        .unwrap();
-        assert!(
-            parallel.stats().parallel.full_splits > 0,
-            "round-1 full scan did not split: {:?}",
-            parallel.stats().parallel
-        );
-        assert_eq!(serial.result(), parallel.result());
-        assert_eq!(serial.new_object_base(), parallel.new_object_base());
-
-        // Below the gate nothing splits.
-        let small = ObjectBase::parse("a.val -> 10. b.val -> 20.").unwrap();
-        let outcome = UpdateEngine::with_config(
-            program,
-            EngineConfig { parallel: true, threads: 2, ..Default::default() },
-        )
-        .run(&small)
-        .unwrap();
-        assert_eq!(outcome.stats().parallel.full_splits, 0);
     }
 }

@@ -32,7 +32,6 @@ pub mod error;
 pub mod history;
 pub mod matcher;
 pub mod plan;
-pub(crate) mod pool;
 pub mod query;
 pub mod reference;
 pub mod serve;
@@ -65,4 +64,4 @@ pub use store::{
 pub use stratify::{Condition, EdgeInfo, RelaxedStratification, Stratification, StratifyError};
 pub use temporal::{FactProp, Formula, Timeline};
 pub use tp::{Fired, FiredSet};
-pub use trace::{EvalStats, ParallelStats, RoundTrace, StratumTrace};
+pub use trace::{EvalStats, RoundTrace, StratumTrace};

@@ -633,25 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_config_flows_through_serving_and_matches_serial() {
-        let ob = ObjectBase::parse(BASE).unwrap();
-        let serial = ServingDatabase::open(ob.clone());
-        let parallel =
-            ServingDatabase::new(crate::Database::builder().parallel(true).threads(2).open(ob));
-        assert!(parallel.config().parallel);
-        assert_eq!(parallel.config().threads, 2);
-        let p1 = serial.prepare(RAISE).unwrap();
-        let p2 = parallel.prepare(RAISE).unwrap();
-        for _ in 0..3 {
-            serial.apply(&p1).unwrap();
-            parallel.apply(&p2).unwrap();
-        }
-        // The group-commit writer runs under the parallel config; the
-        // published state must be bit-identical to serial commits.
-        assert_eq!(*serial.current(), *parallel.current());
-    }
-
-    #[test]
     fn handles_share_one_database() {
         let db = ServingDatabase::open_src(BASE).unwrap();
         let raise = db.prepare(RAISE).unwrap();

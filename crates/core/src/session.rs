@@ -245,14 +245,6 @@ impl Session {
         &self.config
     }
 
-    /// Mutate the engine configuration for subsequent transactions.
-    /// Already-committed history is unaffected — the configuration
-    /// only steers *how* future programs evaluate, never what they
-    /// compute (every knob preserves results by construction).
-    pub fn config_mut(&mut self) -> &mut EngineConfig {
-        &mut self.config
-    }
-
     /// Committed transactions, oldest first.
     pub fn log(&self) -> &[Txn] {
         &self.log

@@ -294,11 +294,8 @@ pub struct ApplyReport {
 }
 
 /// Group a round's delta by created version, in first-appearance
-/// order. This is the **canonical apply order**: every apply path —
-/// serial, pooled, any worker count — processes versions in exactly
-/// this sequence (or deposits results into slots indexed by it), so
-/// `touched`/`created` lists and the recorded delta are identical
-/// across configurations.
+/// order: the order [`apply_updates`] processes versions in, and so the
+/// order of its `touched`/`created` lists.
 fn group_by_created(delta: &[Fired]) -> Vec<(Vid, Vec<&Fired>)> {
     let mut index: FastHashMap<Vid, usize> = FastHashMap::default();
     let mut groups: Vec<(Vid, Vec<&Fired>)> = Vec::new();
@@ -315,9 +312,7 @@ fn group_by_created(delta: &[Fired]) -> Vec<(Vid, Vec<&Fired>)> {
 
 /// Steps 2 + 3 for one created version, **read-only** on `ob`: the
 /// copied source state with the group's updates applied. Returns the
-/// new state plus `(facts_copied, was_created)` bookkeeping. Being a
-/// pure function of `(ob, created, updates)`, any number of these can
-/// run concurrently over a shared `&ObjectBase`.
+/// new state plus `(facts_copied, was_created)` bookkeeping.
 fn build_state(
     ob: &ObjectBase,
     created: Vid,
@@ -410,46 +405,6 @@ pub fn apply_updates(ob: &mut ObjectBase, delta: &[Fired]) -> ApplyReport {
         ob.replace_version_tracked_shared(created, state, &mut report.changed);
         report.touched.push(created);
     }
-    report
-}
-
-/// [`apply_updates`] with the per-version work spread over a worker
-/// pool: the state of every touched version is built concurrently
-/// (read-only phase), then all states are committed at once through
-/// the object base's sharded batch commit
-/// (`ObjectBase::replace_versions_tracked_shared`), whose workers own
-/// disjoint index shards. Produces a report identical to the serial
-/// path for every pool width — see the module docs of
-/// [`crate::pool`].
-pub(crate) fn apply_updates_pooled(
-    ob: &mut ObjectBase,
-    delta: &[Fired],
-    pool: &crate::pool::WorkerPool,
-    par: &mut crate::trace::ParallelStats,
-) -> ApplyReport {
-    if pool.workers() < 2 {
-        return apply_updates(ob, delta);
-    }
-    let started = std::time::Instant::now();
-    let groups = group_by_created(delta);
-    let shared: &ObjectBase = ob;
-    let (built, timing) =
-        pool.run(groups.len(), |i| build_state(shared, groups[i].0, &groups[i].1));
-    par.apply_busy_max += timing.busy_max;
-    par.apply_busy_total += timing.busy_total;
-
-    let mut report = ApplyReport::default();
-    let mut edits: Vec<(Vid, Arc<VersionState>)> = Vec::with_capacity(groups.len());
-    for ((created, _), (state, facts_copied, was_created)) in groups.iter().zip(built) {
-        report.facts_copied += facts_copied;
-        if was_created {
-            report.created.push(*created);
-        }
-        report.touched.push(*created);
-        edits.push((*created, state));
-    }
-    ob.replace_versions_tracked_shared(&edits, pool.workers(), &mut report.changed);
-    par.apply_wall += started.elapsed();
     report
 }
 

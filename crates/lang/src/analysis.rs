@@ -111,14 +111,11 @@ pub enum Lint {
     /// (e.g. §4(b) ins-recursion, or a `$V` atom); it forms a
     /// single-rule dependency component.
     SelfDependentRule,
-    /// A stratum with two or more rules that split into independent
-    /// dependency components — intra-stratum rule parallelism applies.
-    ParallelOpportunity,
 }
 
 impl Lint {
     /// Every known lint, in registry order.
-    pub const ALL: [Lint; 14] = [
+    pub const ALL: [Lint; 13] = [
         Lint::Syntax,
         Lint::DuplicateLabel,
         Lint::ExistsUpdate,
@@ -132,7 +129,6 @@ impl Lint {
         Lint::DynamicPolicyRequired,
         Lint::OrderSensitiveRules,
         Lint::SelfDependentRule,
-        Lint::ParallelOpportunity,
     ];
 
     /// Stable kebab-case name (the `[...]` tag in rendered output).
@@ -151,7 +147,6 @@ impl Lint {
             Lint::DynamicPolicyRequired => "dynamic-policy-required",
             Lint::OrderSensitiveRules => "order-sensitive-rules",
             Lint::SelfDependentRule => "self-dependent-rule",
-            Lint::ParallelOpportunity => "parallel-opportunity",
         }
     }
 
@@ -176,10 +171,9 @@ impl Lint {
             | Lint::NeedlessDynamicPolicy
             | Lint::OrderSensitiveRules => Level::Warn,
             // Advisory-only: truthful observations about healthy
-            // programs (sanctioned recursion, parallelism notes);
-            // reported through the `advisories` channel, never through
-            // `Prepared::warnings()`.
-            Lint::SelfDependentRule | Lint::ParallelOpportunity => Level::Allow,
+            // programs (sanctioned recursion); reported through the
+            // `advisories` channel, never through `Prepared::warnings()`.
+            Lint::SelfDependentRule => Level::Allow,
         }
     }
 
@@ -207,9 +201,6 @@ impl Lint {
                 "a same-stratum rule reads what another writes; rule order could matter"
             }
             Lint::SelfDependentRule => "the rule reads the relation chain its own head writes",
-            Lint::ParallelOpportunity => {
-                "a stratum splits into independent rule components that can evaluate in parallel"
-            }
         }
     }
 }

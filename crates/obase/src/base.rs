@@ -153,185 +153,70 @@ fn fact_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
     ))
 }
 
-/// One net index mutation of a batch commit
-/// ([`ObjectBase::replace_versions_tracked_shared`]), bucketed by the
-/// `(chain, method)` shard route that `by_chain_method`, `by_result`
-/// and `by_arg0` share.
-enum RelOp {
-    /// ± `base` in `by_chain_method[(chain, method)]`.
-    Cm { add: bool, chain: Chain, method: Symbol, base: Const },
-    /// ± one multiplicity of `base` under `(chain, method, key)` in
-    /// `by_result` (`arg: false`) or `by_arg0` (`arg: true`).
-    Key { add: bool, arg: bool, chain: Chain, method: Symbol, key: Const, base: Const },
+/// The entries [`ObjectBase::from_facts`] routes to one shard index,
+/// one list per index: versions, `base → chain` pairs,
+/// `(chain, method) → base` relation entries, and the
+/// `(chain, method, key) → base` entries of the two key indexes.
+#[derive(Default)]
+struct ShardRoute {
+    versions: Vec<(Vid, Arc<VersionState>)>,
+    bases: Vec<(Const, Chain)>,
+    relations: Vec<((Chain, Symbol), Const)>,
+    by_result: Vec<((Chain, Symbol, Const), Const)>,
+    by_arg0: Vec<((Chain, Symbol, Const), Const)>,
 }
 
-impl RelOp {
-    fn cm(add: bool, vid: Vid, method: Symbol) -> RelOp {
-        RelOp::Cm { add, chain: vid.chain(), method, base: vid.base() }
+impl ShardRoute {
+    /// Entries routed here: the shard's share of the build work.
+    fn len(&self) -> usize {
+        self.versions.len()
+            + self.bases.len()
+            + self.relations.len()
+            + self.by_result.len()
+            + self.by_arg0.len()
     }
 
-    /// The value-keyed ops one fact implies (mirroring the
-    /// [`ObjectBase::insert`] / [`ObjectBase::remove`] maintenance of
-    /// the two key indexes).
-    fn keyed(bucket: &mut Vec<RelOp>, add: bool, vid: Vid, method: Symbol, app: &MethodApp) {
-        if result_indexed(method, app.result, vid.base()) {
-            bucket.push(RelOp::Key {
-                add,
-                arg: false,
-                chain: vid.chain(),
-                method,
-                key: app.result,
-                base: vid.base(),
-            });
+    /// Build the shard's maps, with the same entries the serial
+    /// [`ObjectBase::insert`] maintenance would produce.
+    fn build(self) -> BuiltShard {
+        let mut out =
+            BuiltShard { versions: self.versions.into_iter().collect(), ..Default::default() };
+        for (base, chain) in self.bases {
+            out.by_base.entry(base).or_default().insert(chain);
         }
-        if let Some(&a0) = app.args.as_slice().first() {
-            bucket.push(RelOp::Key {
-                add,
-                arg: true,
-                chain: vid.chain(),
-                method,
-                key: a0,
-                base: vid.base(),
-            });
+        for (key, base) in self.relations {
+            out.by_chain_method.entry(key).or_default().insert(base);
         }
-    }
-}
-
-type CmShard = Arc<FastHashMap<(Chain, Symbol), FastHashSet<Const>>>;
-type KeyShard = Arc<FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>>;
-
-/// One worker-ownable unit of a batch commit: a shard slot (or the
-/// route-aligned slots of the three `(chain, method)`-routed indexes)
-/// plus the mutations bucketed to it. Jobs borrow disjoint `&mut`
-/// slots, so a worker team can apply any partition of them without
-/// synchronization.
-enum CommitJob<'a> {
-    Versions {
-        slot: &'a mut Arc<FastHashMap<Vid, Arc<VersionState>>>,
-        ops: Vec<(Vid, Option<Arc<VersionState>>)>,
-    },
-    Relations {
-        cm: &'a mut CmShard,
-        res: &'a mut KeyShard,
-        arg: &'a mut KeyShard,
-        ops: Vec<RelOp>,
-    },
-    Bases {
-        slot: &'a mut Arc<FastHashMap<Const, FastHashSet<Chain>>>,
-        ops: Vec<(Const, Chain, bool)>,
-    },
-}
-
-impl CommitJob<'_> {
-    fn ops_len(&self) -> usize {
-        match self {
-            CommitJob::Versions { ops, .. } => ops.len(),
-            CommitJob::Relations { ops, .. } => ops.len(),
-            CommitJob::Bases { ops, .. } => ops.len(),
+        for (key, base) in self.by_result {
+            *out.by_result.entry(key).or_default().entry(base).or_insert(0) += 1;
         }
-    }
-
-    fn apply(self) {
-        match self {
-            CommitJob::Versions { slot, ops } => {
-                let map = Arc::make_mut(slot);
-                for (vid, state) in ops {
-                    match state {
-                        Some(state) => {
-                            map.insert(vid, state);
-                        }
-                        None => {
-                            map.remove(&vid);
-                        }
-                    }
-                }
-            }
-            CommitJob::Relations { cm, res, arg, ops } => {
-                // Unshare only the planes ops actually target.
-                let mut cm =
-                    ops.iter().any(|o| matches!(o, RelOp::Cm { .. })).then(|| Arc::make_mut(cm));
-                let mut res = ops
-                    .iter()
-                    .any(|o| matches!(o, RelOp::Key { arg: false, .. }))
-                    .then(|| Arc::make_mut(res));
-                let mut arg_m = ops
-                    .iter()
-                    .any(|o| matches!(o, RelOp::Key { arg: true, .. }))
-                    .then(|| Arc::make_mut(arg));
-                for op in ops {
-                    match op {
-                        RelOp::Cm { add: true, chain, method, base } => {
-                            let map = cm.as_mut().expect("plane unshared above");
-                            map.entry((chain, method)).or_default().insert(base);
-                        }
-                        RelOp::Cm { add: false, chain, method, base } => {
-                            let map = cm.as_mut().expect("plane unshared above");
-                            if let Some(set) = map.get_mut(&(chain, method)) {
-                                set.remove(&base);
-                                if set.is_empty() {
-                                    map.remove(&(chain, method));
-                                }
-                            }
-                        }
-                        RelOp::Key { add, arg, chain, method, key, base } => {
-                            let map = if arg { &mut arg_m } else { &mut res };
-                            let map = map.as_mut().expect("plane unshared above");
-                            apply_key_op(map, add, chain, method, key, base);
-                        }
-                    }
-                }
-            }
-            CommitJob::Bases { slot, ops } => {
-                let map = Arc::make_mut(slot);
-                for (base, chain, add) in ops {
-                    if add {
-                        map.entry(base).or_default().insert(chain);
-                    } else if let Some(chains) = map.get_mut(&base) {
-                        chains.remove(&chain);
-                        if chains.is_empty() {
-                            map.remove(&base);
-                        }
-                    }
-                }
-            }
+        for (key, base) in self.by_arg0 {
+            *out.by_arg0.entry(key).or_default().entry(base).or_insert(0) += 1;
         }
+        out
     }
 }
 
-/// Apply one multiplicity op to a key-index shard (the batch-commit
-/// mirror of `KeyIndex::add` / `KeyIndex::remove`, including the
-/// underflow invariant).
-fn apply_key_op(
-    map: &mut FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>,
-    add: bool,
-    chain: Chain,
-    method: Symbol,
-    key: Const,
-    base: Const,
-) {
-    let full = (chain, method, key);
-    if add {
-        *map.entry(full).or_default().entry(base).or_insert(0) += 1;
-        return;
+/// Install a built shard into slot `i` of an empty map. An empty shard
+/// is left alone, so its write generation stays 0, as if nothing had
+/// been inserted there.
+fn install_shard<K, V>(map: &mut ShardedMap<K, V>, i: usize, shard: FastHashMap<K, V>)
+where
+    K: ShardKey + Eq + std::hash::Hash,
+{
+    if !shard.is_empty() {
+        *map.shard_slot(i) = Arc::new(shard);
     }
-    let present = map.get(&full).is_some_and(|bases| bases.contains_key(&base));
-    crate::invariant_assert!(
-        present,
-        "KeyIndex multiplicity underflow in batch commit: \
-         chain={chain} method={method} key={key} base={base}"
-    );
-    if !present {
-        return;
-    }
-    let bases = map.get_mut(&full).expect("presence checked above");
-    let count = bases.get_mut(&base).expect("presence checked above");
-    *count -= 1;
-    if *count == 0 {
-        bases.remove(&base);
-        if bases.is_empty() {
-            map.remove(&full);
-        }
-    }
+}
+
+/// One shard index of every map of a base under construction.
+#[derive(Default)]
+struct BuiltShard {
+    versions: FastHashMap<Vid, Arc<VersionState>>,
+    by_base: FastHashMap<Const, FastHashSet<Chain>>,
+    by_chain_method: FastHashMap<(Chain, Symbol), FastHashSet<Const>>,
+    by_result: FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>,
+    by_arg0: FastHashMap<(Chain, Symbol, Const), FastHashMap<Const, u32>>,
 }
 
 /// A set of ground version-terms, indexed for bottom-up evaluation.
@@ -589,186 +474,6 @@ impl ObjectBase {
             changed.record(vid.chain(), method, vid.base());
         }
         self.replace_version_shared(vid, state);
-    }
-
-    /// Batch [`ObjectBase::replace_version_tracked_shared`] over
-    /// `edits` — one complete new state per **distinct** vid — with the
-    /// index maintenance partitioned across up to `workers` threads.
-    ///
-    /// The committed base, the recorded `changed` delta and the
-    /// fact/preparation counters are exactly those of applying the
-    /// edits one by one in order (any `workers` value, including 1,
-    /// produces the identical base). Parallelism comes from shard
-    /// ownership: every mutation an edit implies routes to a fixed
-    /// shard of one index ([`crate::shard`]), so the edits' mutations
-    /// are bucketed per shard and each worker commits a disjoint set
-    /// of shard buckets through `ShardedMap::shard_slots_mut` — no
-    /// locks, no shared write state. Two different edits can never
-    /// contend on one index *entry* either: a `(chain, method[, key])`
-    /// cell names the edit's own `(base, chain)` version, so its
-    /// multiplicity updates come from a single edit.
-    pub fn replace_versions_tracked_shared(
-        &mut self,
-        edits: &[(Vid, Arc<VersionState>)],
-        workers: usize,
-        changed: &mut ChangedSince,
-    ) {
-        crate::invariant_assert!(
-            edits.iter().map(|(v, _)| v).collect::<FastHashSet<_>>().len() == edits.len(),
-            "replace_versions_tracked_shared requires distinct vids"
-        );
-        if workers < 2 || edits.len() < 2 {
-            for (vid, state) in edits {
-                self.replace_version_tracked_shared(*vid, Arc::clone(state), changed);
-            }
-            return;
-        }
-        self.commit_edits_sharded(edits, workers, changed);
-    }
-
-    /// The parallel half of
-    /// [`ObjectBase::replace_versions_tracked_shared`]: a serial
-    /// read-only pre-pass diffs each edit against the stored state and
-    /// buckets the implied index mutations by target shard; a scoped
-    /// worker team then owns disjoint shard groups and applies the
-    /// buckets concurrently. The pre-pass emits *net* diffs (facts in
-    /// old∖new removed, new∖old added), which lands on the same index
-    /// state as the serial discard-and-reinsert.
-    fn commit_edits_sharded(
-        &mut self,
-        edits: &[(Vid, Arc<VersionState>)],
-        workers: usize,
-        changed: &mut ChangedSince,
-    ) {
-        let exists = exists_sym();
-        let mut rel_ops: Vec<Vec<RelOp>> =
-            std::iter::repeat_with(Vec::new).take(SHARD_COUNT).collect();
-        let mut ver_ops: Vec<Vec<(Vid, Option<Arc<VersionState>>)>> =
-            std::iter::repeat_with(Vec::new).take(SHARD_COUNT).collect();
-        let mut base_ops: Vec<Vec<(Const, Chain, bool)>> =
-            std::iter::repeat_with(Vec::new).take(SHARD_COUNT).collect();
-        let mut fact_delta = 0isize;
-        let mut prepared_delta = 0isize;
-
-        for (vid, new) in edits {
-            let vid = *vid;
-            let old = self.versions.get(&vid);
-            if old.is_some_and(|o| Arc::ptr_eq(o, new)) {
-                continue; // idempotent recommit: nothing to diff or record
-            }
-            let old_present = old.is_some();
-            let diff: Vec<Symbol> = match old {
-                Some(old) => old.changed_methods(new),
-                None => new.methods().collect(),
-            };
-            if old_present && diff.is_empty() {
-                continue; // content-equal recommit: keep the stored state
-            }
-            for &m in &diff {
-                changed.record(vid.chain(), m, vid.base());
-            }
-            fact_delta += new.len() as isize - old.map_or(0, |s| s.len()) as isize;
-            let exists_app = MethodApp::new(Args::empty(), vid.base());
-            prepared_delta += new.contains(exists, &exists_app) as isize
-                - old.is_some_and(|s| s.contains(exists, &exists_app)) as isize;
-
-            for &m in &diff {
-                let bucket = &mut rel_ops[(vid.chain(), m).shard()];
-                let old_has = old.is_some_and(|s| s.has_method(m));
-                match (old_has, new.has_method(m)) {
-                    (true, false) => bucket.push(RelOp::cm(false, vid, m)),
-                    (false, true) => bucket.push(RelOp::cm(true, vid, m)),
-                    _ => {}
-                }
-                // Net fact diff, removals before additions (the order
-                // the serial two-phase commit establishes per edit).
-                if let Some(old) = old {
-                    for app in old.apps(m) {
-                        if !new.contains(m, app) {
-                            RelOp::keyed(bucket, false, vid, m, app);
-                        }
-                    }
-                }
-                for app in new.apps(m) {
-                    if old.is_none_or(|o| !o.contains(m, app)) {
-                        RelOp::keyed(bucket, true, vid, m, app);
-                    }
-                }
-            }
-
-            if new.is_empty() {
-                if old_present {
-                    ver_ops[vid.shard()].push((vid, None));
-                    base_ops[vid.base().shard()].push((vid.base(), vid.chain(), false));
-                }
-            } else {
-                ver_ops[vid.shard()].push((vid, Some(Arc::clone(new))));
-                if !old_present {
-                    base_ops[vid.base().shard()].push((vid.base(), vid.chain(), true));
-                }
-            }
-        }
-
-        // `shard_slots_mut` bypasses the generation-tracked entry
-        // points, so record which slots the jobs below will actually
-        // write before the op buckets are moved into them.
-        let ver_dirty: Vec<bool> = ver_ops.iter().map(|ops| !ops.is_empty()).collect();
-        let rel_dirty: Vec<bool> = rel_ops.iter().map(|ops| !ops.is_empty()).collect();
-        let bas_dirty: Vec<bool> = base_ops.iter().map(|ops| !ops.is_empty()).collect();
-
-        let mut jobs: Vec<CommitJob> = Vec::new();
-        for ((_, slot), ops) in self.versions.shard_slots_mut().zip(ver_ops) {
-            if !ops.is_empty() {
-                jobs.push(CommitJob::Versions { slot, ops });
-            }
-        }
-        let res_slots = self.by_result.map.shard_slots_mut().map(|(_, s)| s);
-        let arg_slots = self.by_arg0.map.shard_slots_mut().map(|(_, s)| s);
-        for ((((_, cm), res), arg), ops) in
-            self.by_chain_method.shard_slots_mut().zip(res_slots).zip(arg_slots).zip(rel_ops)
-        {
-            if !ops.is_empty() {
-                jobs.push(CommitJob::Relations { cm, res, arg, ops });
-            }
-        }
-        for ((_, slot), ops) in self.by_base.shard_slots_mut().zip(base_ops) {
-            if !ops.is_empty() {
-                jobs.push(CommitJob::Bases { slot, ops });
-            }
-        }
-        // Largest buckets first, dealt round-robin: a deterministic
-        // assignment that keeps the heaviest shard groups apart.
-        jobs.sort_by_key(|j| std::cmp::Reverse(j.ops_len()));
-        let mut bins: Vec<Vec<CommitJob>> = Vec::new();
-        bins.resize_with(workers.min(jobs.len()).max(1), Vec::new);
-        let n_bins = bins.len();
-        for (i, job) in jobs.into_iter().enumerate() {
-            bins[i % n_bins].push(job);
-        }
-        std::thread::scope(|scope| {
-            for bin in bins {
-                scope.spawn(move || {
-                    for job in bin {
-                        job.apply();
-                    }
-                });
-            }
-        });
-        for i in 0..SHARD_COUNT {
-            if ver_dirty[i] {
-                self.versions.note_written(i);
-            }
-            if rel_dirty[i] {
-                self.by_chain_method.note_written(i);
-                self.by_result.map.note_written(i);
-                self.by_arg0.map.note_written(i);
-            }
-            if bas_dirty[i] {
-                self.by_base.note_written(i);
-            }
-        }
-        self.fact_count = (self.fact_count as isize + fact_delta) as usize;
-        self.prepared_versions = (self.prepared_versions as isize + prepared_delta) as usize;
     }
 
     fn unindex_method(&mut self, vid: Vid, method: Symbol) {
@@ -1070,19 +775,72 @@ impl ObjectBase {
     }
 
     /// Build a base from a decoded fact stream with the index
-    /// maintenance spread over up to `workers` threads — the parallel
+    /// construction spread over up to `workers` threads — the parallel
     /// reopen path. Equivalent to inserting every fact in order
     /// (duplicates collapse, as [`ObjectBase::insert`] does).
+    ///
+    /// Every entry of every index routes to a fixed shard, so one
+    /// serial pass lists, per shard index, the entries that land
+    /// there; the shards are then built independently on the threads.
     pub fn from_facts(facts: Vec<Fact>, workers: usize) -> ObjectBase {
         let mut states: FastHashMap<Vid, VersionState> = FastHashMap::default();
         for f in facts {
             states.entry(f.vid).or_default().insert(f.method, MethodApp::new(f.args, f.result));
         }
-        let edits: Vec<(Vid, Arc<VersionState>)> =
-            states.into_iter().map(|(vid, s)| (vid, Arc::new(s))).collect();
+        let exists = exists_sym();
         let mut ob = ObjectBase::new();
-        let mut changed = ChangedSince::new();
-        ob.replace_versions_tracked_shared(&edits, workers, &mut changed);
+        let mut routes: Vec<ShardRoute> =
+            std::iter::repeat_with(ShardRoute::default).take(SHARD_COUNT).collect();
+        for (vid, state) in states {
+            let (chain, base) = (vid.chain(), vid.base());
+            ob.fact_count += state.len();
+            if state.contains(exists, &MethodApp::new(Args::empty(), base)) {
+                ob.prepared_versions += 1;
+            }
+            for method in state.methods() {
+                let route = &mut routes[(chain, method).shard()];
+                route.relations.push(((chain, method), base));
+                for app in state.apps(method) {
+                    if result_indexed(method, app.result, base) {
+                        route.by_result.push(((chain, method, app.result), base));
+                    }
+                    if let Some(&a0) = app.args.as_slice().first() {
+                        route.by_arg0.push(((chain, method, a0), base));
+                    }
+                }
+            }
+            routes[base.shard()].bases.push((base, chain));
+            routes[vid.shard()].versions.push((vid, Arc::new(state)));
+        }
+        // Largest shards first, dealt round-robin: a deterministic
+        // assignment that keeps the heaviest shards on different threads.
+        let threads = workers.clamp(1, SHARD_COUNT);
+        let mut order: Vec<(usize, ShardRoute)> = routes.into_iter().enumerate().collect();
+        order.sort_by_key(|(_, route)| std::cmp::Reverse(route.len()));
+        let mut parts: Vec<Vec<(usize, ShardRoute)>> =
+            std::iter::repeat_with(Vec::new).take(threads).collect();
+        for (n, job) in order.into_iter().enumerate() {
+            parts[n % threads].push(job);
+        }
+        let build = |part: Vec<(usize, ShardRoute)>| -> Vec<(usize, BuiltShard)> {
+            part.into_iter().map(|(i, route)| (i, route.build())).collect()
+        };
+        let built: Vec<(usize, BuiltShard)> = if threads == 1 {
+            parts.into_iter().flat_map(build).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    parts.into_iter().map(|part| scope.spawn(move || build(part))).collect();
+                handles.into_iter().flat_map(|h| h.join().expect("shard build panicked")).collect()
+            })
+        };
+        for (i, shard) in built {
+            install_shard(&mut ob.versions, i, shard.versions);
+            install_shard(&mut ob.by_base, i, shard.by_base);
+            install_shard(&mut ob.by_chain_method, i, shard.by_chain_method);
+            install_shard(&mut ob.by_result.map, i, shard.by_result);
+            install_shard(&mut ob.by_arg0.map, i, shard.by_arg0);
+        }
         ob
     }
 
@@ -1303,47 +1061,6 @@ mod tests {
             edits.push((v, Arc::new(s)));
         }
         (ob, edits)
-    }
-
-    #[test]
-    fn batch_commit_matches_serial_across_shards() {
-        let (ob, edits) = shard_commit_fixture();
-        let mut serial = ob.clone();
-        let mut ch_serial = ChangedSince::new();
-        for (vid, state) in &edits {
-            serial.replace_version_tracked_shared(*vid, Arc::clone(state), &mut ch_serial);
-        }
-        serial.check_invariants();
-        for workers in [1, 2, 4, 16] {
-            let mut par = ob.clone();
-            let mut ch_par = ChangedSince::new();
-            par.replace_versions_tracked_shared(&edits, workers, &mut ch_par);
-            assert_eq!(par, serial, "base diverged at workers={workers}");
-            assert_eq!(ch_par, ch_serial, "delta diverged at workers={workers}");
-            assert_eq!(par.len(), serial.len(), "fact_count diverged at workers={workers}");
-            par.check_invariants();
-        }
-    }
-
-    #[test]
-    fn batch_commit_empty_and_noop_edits_across_shards() {
-        let ob = mk();
-        // Empty edit list: nothing changes, no recording.
-        let mut a = ob.clone();
-        let mut ch = ChangedSince::new();
-        a.replace_versions_tracked_shared(&[], 4, &mut ch);
-        assert_eq!(a, ob);
-        assert!(ch.keys().next().is_none());
-        // Removing a version that never existed is a no-op.
-        let ghost = Vid::object(oid("nobody"));
-        let edits = vec![
-            (ghost, Arc::new(VersionState::new())),
-            (ghost.apply(UpdateKind::Del).unwrap(), Arc::new(VersionState::new())),
-        ];
-        a.replace_versions_tracked_shared(&edits, 4, &mut ch);
-        assert_eq!(a, ob);
-        assert!(ch.keys().next().is_none());
-        a.check_invariants();
     }
 
     #[test]
@@ -1641,8 +1358,8 @@ mod tests {
         let (mut ob, _) = shard_commit_fixture();
         let vids: Vec<Vid> = ob.versions().collect();
         let before = ob.version_generations();
-        // Pointer-equal and content-equal recommits of every version,
-        // serial and batched: no shard generation may move.
+        // Pointer-equal and content-equal recommits of every version:
+        // no shard generation may move.
         for &vid in &vids {
             let shared = Arc::clone(ob.version_shared(vid).unwrap());
             let mut ch = ChangedSince::new();
@@ -1651,13 +1368,6 @@ mod tests {
             ob.replace_version_tracked_shared(vid, fresh, &mut ch);
             assert!(ch.is_empty());
         }
-        let edits: Vec<(Vid, Arc<VersionState>)> = vids
-            .iter()
-            .map(|&v| (v, Arc::new((**ob.version_shared(v).unwrap()).clone())))
-            .collect();
-        let mut ch = ChangedSince::new();
-        ob.replace_versions_tracked_shared(&edits, 4, &mut ch);
-        assert!(ch.is_empty());
         assert_eq!(ob.version_generations(), before, "no-op commits must dirty zero shards");
         ob.check_invariants();
     }
@@ -1706,13 +1416,23 @@ mod tests {
 
     #[test]
     fn from_facts_matches_serial_inserts() {
-        let (ob, _) = shard_commit_fixture();
+        // The fixture's edits add mod-chain versions and brand-new
+        // objects, so versions of one base route to different shards.
+        let (mut ob, edits) = shard_commit_fixture();
+        let mut changed = ChangedSince::new();
+        for (vid, state) in edits {
+            ob.replace_version_tracked_shared(vid, state, &mut changed);
+        }
         let facts = ob.facts_sorted();
-        for workers in [1, 4] {
+        for workers in [1, 2, 4, 16, 64] {
             let rebuilt = ObjectBase::from_facts(facts.clone(), workers);
             assert_eq!(rebuilt, ob, "workers={workers}");
             assert_eq!(rebuilt.len(), ob.len());
             rebuilt.check_invariants();
+            // Only shards that hold versions count as written.
+            for (i, gen) in rebuilt.version_generations().into_iter().enumerate() {
+                assert_eq!(gen == 0, rebuilt.versions().all(|v| vid_shard(v) != i), "shard {i}");
+            }
         }
         // Duplicate facts collapse exactly like ObjectBase::insert.
         let mut doubled = facts.clone();

@@ -90,9 +90,9 @@ pub fn random_insert_program(config: RandomConfig) -> Program {
 /// The layers' written relations are disjoint (`g*` at distinct chain
 /// depths, then `h*`), so the read/write dependency graph is a DAG and
 /// static stratification always succeeds. This is the fixture for the
-/// parallel-vs-sequential differential battery: deletes, modifies and
-/// negation make evaluation order visible if the engine ever gets it
-/// wrong, where insert-only programs would mask it.
+/// update-program battery of `tests/reference_differential.rs`:
+/// deletes, modifies and negation make evaluation order visible if the
+/// engine ever gets it wrong, where insert-only programs would mask it.
 pub fn random_update_program(config: RandomConfig) -> Program {
     let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_mul(0xC2B2_AE35));
     let methods = config.methods.max(1);

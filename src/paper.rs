@@ -115,7 +115,7 @@
 //!   (LTLf with past operators over those timelines);
 //! * §2.4's schema-evolution remark → [`crate::schema`] (conformance
 //!   checking + update-driven schema deltas);
-//! * engineering extensions (snapshots, sessions, REPL, parallel
-//!   evaluation, delta filtering, the `core::reference` executable
+//! * engineering extensions (snapshots, sessions, REPL, delta
+//!   filtering, the `core::reference` executable
 //!   specification with differential tests) are catalogued in
 //!   DESIGN.md §4.

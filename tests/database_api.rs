@@ -214,8 +214,7 @@ fn errors_unify_the_layer_types() {
 fn builder_knobs_flow_through() {
     use ruvo::core::{CyclePolicy, TraceLevel};
 
-    let mut db =
-        Database::builder().trace(TraceLevel::Rounds).parallel(true).open_src(ENTERPRISE).unwrap();
+    let mut db = Database::builder().trace(TraceLevel::Rounds).open_src(ENTERPRISE).unwrap();
     let raise = db.prepare(RAISE).unwrap();
     db.apply(&raise).unwrap();
     let txn = db.log().last().unwrap();

@@ -46,6 +46,29 @@ fn golden_enterprise_deps_json() {
     golden("enterprise_deps.json", &prepared.deps().to_json(prepared.program()));
 }
 
+/// Read sets render in chain-then-method-name order. `Symbol` ids
+/// follow interning order, which depends on what else the process
+/// interned first (other tests, in this binary), so an id-ordered
+/// render would differ from run to run.
+#[test]
+fn read_sets_render_in_name_order() {
+    // Intern the later name first, so its symbol id is the smaller.
+    let (late, early) = (sym("deps_order_zeta"), sym("deps_order_alpha"));
+    assert!(late < early, "symbol ids follow interning order");
+    let prepared = prepare(
+        "r: ins[X].p -> 1 <= X.s -> 1 & not X.deps_order_zeta -> 1 \
+         & not X.deps_order_alpha -> 1.",
+    );
+    let negated: Vec<&str> =
+        prepared.deps().reads(0).negated.iter().map(|&(_, m)| m.as_str()).collect();
+    assert_eq!(negated, ["deps_order_alpha", "deps_order_zeta"]);
+    let json = prepared.deps().to_json(prepared.program());
+    assert!(
+        json.contains(r#""negated_reads": ["·.deps_order_alpha", "·.deps_order_zeta"]"#),
+        "{json}"
+    );
+}
+
 // ----- structural re-parse checks ------------------------------------
 
 /// Minimal DOT re-parse: the graph header, balanced braces, and every

@@ -15,14 +15,19 @@
 //! * the full `result(P)` (every version state),
 //! * the extracted new object base,
 //!
-//! and all engine configurations (delta filtering on/off, parallel
-//! on/off) must produce that same result.
+//! and all engine configurations (delta filtering on/off, stability
+//! verification on/off) must produce that same result. A second
+//! battery runs the randomized layered update-programs of
+//! `ruvo::workload` against the same oracle.
 
 use proptest::prelude::*;
 use ruvo::core::reference;
-use ruvo::core::{EngineConfig, EvalError, UpdateEngine};
+use ruvo::core::{CyclePolicy, EngineConfig, EvalError, UpdateEngine};
 use ruvo::lang::Program;
 use ruvo::obase::ObjectBase;
+use ruvo::workload::{
+    random_insert_program, random_object_base, random_update_program, RandomConfig,
+};
 
 /// One template instantiation. `h`, `a`, `b` pick method names, `obj`
 /// picks a constant object, `k` a small integer constant.
@@ -152,19 +157,15 @@ proptest! {
                         policy, prog_src, ob_src
                     );
                 }
-                // All engine configurations agree with the reference.
-                // verify_stability additionally asserts the §4 theorem:
-                // on stratifiable programs, fired updates never un-fire
-                // (an Unstable error here is a stratifier bug).
-                for (delta, parallel, verify) in [
-                    (false, false, false),
-                    (false, true, false),
-                    (true, true, false),
-                    (true, false, true),
-                ] {
+                // All engine configurations agree with the reference
+                // (delta filtering on, verification off is the default
+                // run above). verify_stability additionally asserts the
+                // §4 theorem: on stratifiable programs, fired updates
+                // never un-fire (an Unstable error here is a stratifier
+                // bug).
+                for (delta, verify) in [(false, false), (true, true)] {
                     let cfg = EngineConfig {
                         delta_filtering: delta,
-                        parallel,
                         verify_stability: verify,
                         ..EngineConfig::default()
                     };
@@ -173,8 +174,8 @@ proptest! {
                         .expect("variant config must succeed when default does");
                     prop_assert_eq!(
                         variant.result(), &r.result,
-                        "config (delta={}, parallel={}, verify={}) differs\nprogram:\n{}\nbase: {}",
-                        delta, parallel, verify, prog_src, ob_src
+                        "config (delta={}, verify={}) differs\nprogram:\n{}\nbase: {}",
+                        delta, verify, prog_src, ob_src
                     );
                 }
             }
@@ -248,4 +249,93 @@ fn fixed_seed_differential_sweep() {
         }
     }
     assert!(checked >= 20, "too few stratifiable seeds: {checked}");
+}
+
+// ----- randomized update-program battery -----------------------------
+
+/// The engine (default configuration under `cycles`) against the
+/// naive full-scan path (`naive_eval(true)`) on `result(P)`, `ob'` and
+/// `changed()`, and — with `with_reference` — against the reference
+/// interpreter on `result(P)` and `ob'` (it does not compute
+/// `changed()`).
+fn assert_matches_oracles(
+    program: &Program,
+    ob: &ObjectBase,
+    cycles: CyclePolicy,
+    with_reference: bool,
+) {
+    let cfg = EngineConfig { cycles, ..EngineConfig::default() };
+    let engine = UpdateEngine::with_config(program.clone(), cfg.clone())
+        .run(ob)
+        .unwrap_or_else(|e| panic!("engine: {e}\nprogram:\n{program}"));
+    let naive = UpdateEngine::with_config(program.clone(), cfg.naive_eval(true))
+        .run(ob)
+        .unwrap_or_else(|e| panic!("naive engine: {e}\nprogram:\n{program}"));
+    assert_eq!(engine.result(), naive.result(), "result(P) differs\nprogram:\n{program}");
+    assert_eq!(
+        engine.new_object_base(),
+        naive.new_object_base(),
+        "ob' differs\nprogram:\n{program}"
+    );
+    assert_eq!(engine.changed(), naive.changed(), "changed() differs\nprogram:\n{program}");
+    engine.result().check_invariants();
+    if with_reference {
+        let reference = reference::evaluate(program, ob)
+            .unwrap_or_else(|e| panic!("reference: {e}\nprogram:\n{program}"));
+        assert_eq!(engine.result(), &reference.result, "result(P) differs\nprogram:\n{program}");
+        assert_eq!(
+            engine.new_object_base(),
+            reference.new_object_base().unwrap(),
+            "ob' differs from the reference\nprogram:\n{program}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Layered programs with ins/del/mod heads and negation strata over
+    /// random bases: deletes, modifies and negation make any
+    /// evaluation-order bug change answers.
+    #[test]
+    fn update_programs_match_reference(
+        seed in 0u64..10_000,
+        objects in 15usize..50,
+        facts in 60usize..160,
+        rules in 6usize..12,
+    ) {
+        let config = RandomConfig { objects, facts, rules, methods: 4, seed };
+        let ob = random_object_base(config);
+        let program = random_update_program(config);
+        assert_matches_oracles(&program, &ob, CyclePolicy::Reject, true);
+    }
+
+    /// Insert-only programs over wider bases: monotone growth keeps the
+    /// per-round deltas, and so the seeded scans, large. The reference
+    /// grounds every variable over the active domain, which takes
+    /// minutes at these sizes, so the naive path is the oracle here.
+    #[test]
+    fn bulk_inserts_match_reference(
+        seed in 0u64..10_000,
+        objects in 48usize..96,
+        facts in 160usize..320,
+    ) {
+        let config = RandomConfig { objects, facts, rules: 8, methods: 4, seed };
+        let ob = random_object_base(config);
+        let program = random_insert_program(config);
+        assert_matches_oracles(&program, &ob, CyclePolicy::Reject, false);
+    }
+}
+
+/// Statically stratifiable programs evaluate identically under the
+/// runtime-stability cycle policy, which re-evaluates every rule each
+/// round and checks that fired updates stay fired.
+#[test]
+fn runtime_stability_matches_reference() {
+    for seed in 0..8 {
+        let config = RandomConfig { objects: 24, facts: 90, rules: 8, methods: 4, seed };
+        let ob = random_object_base(config);
+        let program = random_update_program(config);
+        assert_matches_oracles(&program, &ob, CyclePolicy::RuntimeStability, true);
+    }
 }
